@@ -6,7 +6,7 @@ Picard loop on the nonlinear coupling.
 """
 
 from .basis import BasisSpec
-from .norms import FieldSample, NormReport, evaluate, self_convergence, table_emit
+from .norms import NormReport, evaluate, self_convergence
 from .problems import (
     PicardSplit,
     ProblemSpec,
@@ -21,7 +21,6 @@ from .stepper import CoefficientState, PicardConvergenceError, SolverConfig, run
 __all__ = [
     "BasisSpec",
     "CoefficientState",
-    "FieldSample",
     "NormReport",
     "PicardConvergenceError",
     "PicardSplit",
@@ -38,7 +37,6 @@ __all__ = [
     "run",
     "self_convergence",
     "step",
-    "table_emit",
 ]
 
 __version__ = "0.1.0"

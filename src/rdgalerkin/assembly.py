@@ -10,10 +10,11 @@ stiffness block, K_couple the iterate-weighted cross-coupling block, and F
 the load vector.  All blocks are (m+1) x (m+1) dense; at the degrees this
 package targets (m <= ~10) no sparsity machinery is warranted.
 
-The integration-by-parts boundary bracket eps * [B_j' B_i] would enter the
-stiffness block, but every basis member vanishes at the endpoints; the
-bracket is still computed and asserted negligible as a cheap self-check on
-the basis.
+The basis is tabulated once, at the nodes of one quadrature rule, into a
+``Discretization``; every function here works on those tables and never
+evaluates the basis itself.  The integration-by-parts boundary bracket
+eps * [B_j' B_i] is omitted from the stiffness block because every basis
+member vanishes exactly at both endpoints.
 """
 
 from dataclasses import dataclass
@@ -22,98 +23,91 @@ import numpy as np
 
 from . import basis as basis_mod
 from .linalg import lu_solve
+from .quadrature import QuadratureRule
 
 
 @dataclass(frozen=True)
-class SystemMatrices:
-    """All blocks of one Picard iterate's coupled linear system."""
+class Discretization:
+    """The iterate-independent arrays of one run, built once from (problem, basis, rule).
 
-    C1: np.ndarray
-    C2: np.ndarray
+    ``B`` and ``dB`` hold the basis values and derivatives at the rule's
+    nodes, shape (size, point_count); ``b_int`` the integrals of the
+    members; ``C`` the mass matrix and ``K1`` / ``K4`` the stiffness blocks
+    of the M and N equations.
+    """
+
+    rule: QuadratureRule
+    B: np.ndarray
+    dB: np.ndarray
+    b_int: np.ndarray
+    C: np.ndarray
     K1: np.ndarray
-    K2: np.ndarray
-    K3: np.ndarray
     K4: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
+
+    @classmethod
+    def build(cls, problem, basis, rule):
+        B = basis_mod.value_matrix(basis, rule.nodes)
+        dB = basis_mod.derivative_matrix(basis, rule.nodes)
+        w = rule.weights
+        return cls(
+            rule=rule,
+            B=B,
+            dB=dB,
+            b_int=B @ w,
+            C=assemble_mass(B, w),
+            K1=assemble_stiffness(B, dB, w, problem.eps1, problem.decay_M),
+            K4=assemble_stiffness(B, dB, w, problem.eps2, problem.decay_N),
+        )
 
 
-def _tables(spec, rule):
-    B = basis_mod.value_matrix(spec, rule.nodes)
-    dB = basis_mod.derivative_matrix(spec, rule.nodes)
-    return B, dB
-
-
-def assemble_mass(spec, rule):
+def assemble_mass(B, weights):
     """Pairwise basis-product integrals, symmetrized."""
-    B, _ = _tables(spec, rule)
-    M = (B * rule.weights) @ B.T
+    M = (B * weights) @ B.T
     return 0.5 * (M + M.T)
 
 
-def assemble_stiffness(spec, rule, eps, decay):
-    """eps * derivative products + decay * mass - eps * endpoint bracket.
-
-    The bracket is analytically zero (basis members vanish at the
-    endpoints); it is evaluated anyway and asserted tiny.
-    """
-    B, dB = _tables(spec, rule)
-    K = eps * (dB * rule.weights) @ dB.T + decay * assemble_mass(spec, rule)
-    bracket = _endpoint_bracket(spec)
-    scale = max(np.abs(K).max(), 1.0)
-    assert np.abs(bracket).max() <= 1e-12 * scale, "basis endpoint bracket not zero"
-    return K - eps * bracket
+def assemble_stiffness(B, dB, weights, eps, decay):
+    """eps * derivative products + decay * mass."""
+    return eps * (dB * weights) @ dB.T + decay * assemble_mass(B, weights)
 
 
-def _endpoint_bracket(spec):
-    """[B_j'(x) B_i(x)] evaluated upper minus lower, shape (size, size)."""
-    out = np.zeros((spec.size, spec.size))
-    for edge, sign in ((spec.upper, 1.0), (spec.lower, -1.0)):
-        Bi = np.array([basis_mod.value(spec, i, edge) for i in range(spec.size)])
-        dBj = np.array([basis_mod.derivative(spec, j, edge) for j in range(spec.size)])
-        out += sign * np.outer(Bi, dBj)
-    return out
+def assemble_coupling(B, weights, weight):
+    """Weighted mass matrix with the iterate-dependent weight at the nodes.
 
-
-def assemble_coupling(spec, rule, weight_fn):
-    """Weighted mass matrix with the iterate-dependent weight.
-
-    ``weight_fn`` must already carry the equation's reaction sign, i.e. it
+    ``weight`` must already carry the equation's reaction sign, i.e. it
     is -sign_M * omega for the M-equation block and -sign_N * phi for the
     N-equation block.
     """
-    B, _ = _tables(spec, rule)
-    w = rule.weights * np.asarray(weight_fn(rule.nodes), dtype=float)
+    w = weights * weight
     K = (B * w) @ B.T
     return 0.5 * (K + K.T)
 
 
-def assemble_loads(problem, spec, rule, split):
+def assemble_loads(problem, disc, split):
     """Load vectors for both species at one Picard iterate.
 
     F1 = sign_M * int(Gamma B_i) + (source_M - decay_M * theta0) * int(B_i)
     F2 = sign_N * int(Pi B_i)    + (source_N - decay_N * gamma0) * int(B_i)
     """
-    B, _ = _tables(spec, rule)
-    b_int = B @ rule.weights
-    F1 = problem.sign_M * (B @ (rule.weights * split.gamma(rule.nodes)))
-    F1 = F1 + (problem.source_M - problem.decay_M * problem.theta0) * b_int
-    F2 = problem.sign_N * (B @ (rule.weights * split.pi(rule.nodes)))
-    F2 = F2 + (problem.source_N - problem.decay_N * problem.gamma0) * b_int
+    B, w = disc.B, disc.rule.weights
+    F1 = problem.sign_M * (B @ (w * split.gamma))
+    F1 = F1 + (problem.source_M - problem.decay_M * problem.theta0) * disc.b_int
+    F2 = problem.sign_N * (B @ (w * split.pi))
+    F2 = F2 + (problem.source_N - problem.decay_N * problem.gamma0) * disc.b_int
     return F1, F2
 
 
-def project_initial(problem, spec, rule):
+def project_initial(problem, disc):
     """Least-squares (Galerkin) projection of the initial data.
 
-    Solves  C c0 = int (M0 - theta0) B_i  and the analogous system for d0.
-    The caller supplies the rule; non-polynomial initial data (sin^100)
-    needs a boosted point count.
+    Solves  C c0 = int (M0 - theta0) B_i  and the analogous system for d0,
+    with C and the integrals taken on ``disc``'s rule.  Non-polynomial
+    initial data (sin^100) needs a boosted point count, so the caller
+    passes a discretization built on a finer rule than the time steps use.
     """
-    B, _ = _tables(spec, rule)
-    C = assemble_mass(spec, rule)
-    rhs_c = B @ (rule.weights * (problem.initial_M(rule.nodes) - problem.theta0))
-    rhs_d = B @ (rule.weights * (problem.initial_N(rule.nodes) - problem.gamma0))
-    c0 = lu_solve(C, rhs_c)
-    d0 = lu_solve(C, rhs_d)
+    B, nodes, w = disc.B, disc.rule.nodes, disc.rule.weights
+    rhs_c = B @ (w * (problem.initial_M(nodes) - problem.theta0))
+    rhs_d = B @ (w * (problem.initial_N(nodes) - problem.gamma0))
+    c0 = lu_solve(disc.C, rhs_c)
+    d0 = lu_solve(disc.C, rhs_d)
     return c0, d0

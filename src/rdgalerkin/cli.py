@@ -12,8 +12,9 @@ Outputs (all deterministic; identical configs yield byte-identical files):
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +25,7 @@ from .basis import BasisSpec
 from .linalg import SingularMatrixError
 from .norms import evaluate, sample_grid, self_convergence
 from .problems import ProblemSpec, ReactionForm, builtin_grayscott, builtin_tp1, sine_power_profile
-from .stepper import PicardConvergenceError, SolverConfig, run
+from .stepper import PicardConvergenceError, SolverConfig, run, state_at
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,9 +150,20 @@ def parse_config(argv):
     )
     if not cfg.report_times:
         cfg.report_times = [cfg.t_end]
+    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"dt: must be finite and positive, got {cfg.dt}")
+    if not (math.isfinite(cfg.t_end) and cfg.t_end >= 0):
+        raise ConfigError(f"t_end: must be finite and non-negative, got {cfg.t_end}")
     if cfg.grid_points < 2:
         raise ConfigError("grid_points: must be at least 2")
+    if cfg.quad_points is not None and cfg.quad_points < cfg.degree + 1:
+        raise ConfigError(
+            f"quad_points: {cfg.quad_points} is fewer than the {cfg.degree + 1} "
+            "basis members"
+        )
     for t in cfg.report_times:
+        if not (math.isfinite(t) and t >= 0):
+            raise ConfigError(f"report_times: {t} must be finite and non-negative")
         steps = t / cfg.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(f"report_times: {t} is not a multiple of dt={cfg.dt}")
@@ -159,8 +171,10 @@ def parse_config(argv):
             raise ConfigError(f"report_times: {t} exceeds t_end={cfg.t_end}")
     if cfg.convergence_dts is not None:
         for dt in cfg.convergence_dts:
+            if not (math.isfinite(dt) and dt > 0):
+                raise ConfigError(f"convergence_dts: {dt} must be finite and positive")
             steps = cfg.t_end / dt
-            if dt <= 0 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
                 raise ConfigError(f"convergence_dts: t_end={cfg.t_end} not a multiple of {dt}")
     return cfg
 
@@ -247,7 +261,6 @@ def run_and_emit(cfg):
     solver_cfg = SolverConfig(
         dt=cfg.dt,
         t_end=cfg.t_end,
-        degree=cfg.degree,
         theta=cfg.theta,
         picard_tol=cfg.picard_tol,
         picard_max=cfg.picard_max,
@@ -262,9 +275,7 @@ def run_and_emit(cfg):
     with open(out / "solution.csv", "w", newline="\n") as f:
         f.write("x,t,M,N\n")
         for t in report_times:
-            state = next(
-                s for s in trajectory if abs(s.t - t) <= 1e-9 * max(1.0, abs(t))
-            )
+            state = state_at(trajectory, t)
             M, N = evaluate(state, problem, basis, xs)
             for x, m, n in zip(xs, M, N):
                 f.write(f"{_fmt(x)},{_fmt(state.t)},{_fmt(m)},{_fmt(n)}\n")
@@ -293,15 +304,7 @@ def run_and_emit(cfg):
                 rep = self_convergence(
                     problem,
                     basis,
-                    SolverConfig(
-                        dt=dt,
-                        t_end=cfg.t_end,
-                        degree=cfg.degree,
-                        theta=cfg.theta,
-                        picard_tol=cfg.picard_tol,
-                        picard_max=cfg.picard_max,
-                        quad_points=cfg.quad_points,
-                    ),
+                    replace(solver_cfg, dt=dt),
                     cfg.t_end,
                     grid_points=cfg.grid_points,
                 )

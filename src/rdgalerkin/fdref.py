@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .norms import evaluate, sample_grid
-from .stepper import PicardConvergenceError, run
+from .stepper import PicardConvergenceError, run, state_at
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,15 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
                 + problem.source_N
                 + problem.sign_N * pi_c[1:-1]
             )
-            # pinned boundary rows
+            # pinned boundary rows are identity rows; their known values move
+            # into the rhs of the neighbouring interior rows and their columns
+            # are zeroed, so the pivoted solve returns them exactly
+            ab[4, :2] = 0.0                    # M_0, N_0 in rows 2, 3
+            ab[0, n_unknowns - 2:] = 0.0       # M_{nx-1}, N_{nx-1} in rows 2nx-4, 2nx-3
+            rhs[2] += r1 * problem.theta0
+            rhs[3] += r2 * problem.gamma0
+            rhs[n_unknowns - 4] += r1 * problem.theta0
+            rhs[n_unknowns - 3] += r2 * problem.gamma0
             for j, val in (
                 (0, problem.theta0),
                 (1, problem.gamma0),
@@ -146,9 +154,7 @@ def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=101):
     grid; its O(dx^2) error is far below the discrepancies being measured.
     """
     trajectory = run(problem, basis, config)
-    state = next(
-        s for s in trajectory if abs(s.t - t) <= 1e-9 * max(1.0, abs(t))
-    )
+    state = state_at(trajectory, t)
     fd = fd_solve(problem, fd_nx, fd_dt, t)
     xs = sample_grid(problem, grid_points)
     M_g, N_g = evaluate(state, problem, basis, xs)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .basis import BasisSpec
-from .norms import evaluate, table_emit
-from .stepper import SolverConfig, run
+from .norms import evaluate
+from .stepper import SolverConfig, run, state_at
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def check_goldens(entries, trajectory, problem, basis):
 
     verdicts = []
     for e in entries:
-        state = _state_at(trajectory, e.t)
+        state = state_at(trajectory, e.t)
         M, N = evaluate(state, problem, basis, e.x)
         computed = M if e.species == "M" else N
         deviation = abs(computed - e.value)
@@ -118,13 +118,6 @@ def check_goldens(entries, trajectory, problem, basis):
     return GoldenReport(verdicts=verdicts, worst_deviation=worst, failures=failures)
 
 
-def _state_at(trajectory, t):
-    for state in trajectory:
-        if abs(state.t - t) <= 1e-9 * max(1.0, abs(t)):
-            return state
-    raise ValueError(f"time level {t} missing from trajectory")
-
-
 def run_problem_goldens(problem_id, problem, basis_degree=6, dt=0.1):
     """Run one built-in problem at its table configuration and check it."""
     entries = [e for e in load_goldens() if e.problem_id == problem_id]
@@ -132,6 +125,6 @@ def run_problem_goldens(problem_id, problem, basis_degree=6, dt=0.1):
         raise ValueError(f"no golden entries for problem {problem_id!r}")
     t_end = max(e.t for e in entries)
     basis = BasisSpec(problem.lower, problem.upper, basis_degree)
-    config = SolverConfig(dt=dt, t_end=t_end, degree=basis_degree)
+    config = SolverConfig(dt=dt, t_end=t_end)
     trajectory = run(problem, basis, config)
     return check_goldens(entries, trajectory, problem, basis)

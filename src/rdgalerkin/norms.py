@@ -7,22 +7,14 @@ report time.  The norms are plain unnormalized sums over the grid, so the
 grid size is part of the convention and is recorded in every report.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import basis as basis_mod
-from .stepper import SolverConfig, run
+from .stepper import run, state_at
 
 DEFAULT_GRID_POINTS = 101
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    x: float
-    t: float
-    M: float
-    N: float
 
 
 @dataclass(frozen=True)
@@ -63,13 +55,6 @@ def evaluate(state, problem, basis, x):
     return M, N
 
 
-def _state_at(trajectory, t):
-    for state in trajectory:
-        if abs(state.t - t) <= 1e-9 * max(1.0, abs(t)):
-            return state
-    raise ValueError(f"time {t} not on the trajectory grid")
-
-
 def sample_grid(problem, grid_points):
     return np.linspace(problem.lower, problem.upper, grid_points)
 
@@ -77,19 +62,10 @@ def sample_grid(problem, grid_points):
 def self_convergence(problem, basis, config, t_report, grid_points=DEFAULT_GRID_POINTS):
     """Norms of the difference between the dt and dt/2 solutions at t_report."""
     coarse = run(problem, basis, config)
-    fine_config = SolverConfig(
-        dt=config.dt / 2,
-        t_end=config.t_end,
-        degree=config.degree,
-        theta=config.theta,
-        picard_tol=config.picard_tol,
-        picard_max=config.picard_max,
-        quad_points=config.quad_points,
-    )
-    fine = run(problem, basis, fine_config)
+    fine = run(problem, basis, replace(config, dt=config.dt / 2))
     xs = sample_grid(problem, grid_points)
-    M_c, N_c = evaluate(_state_at(coarse, t_report), problem, basis, xs)
-    M_f, N_f = evaluate(_state_at(fine, t_report), problem, basis, xs)
+    M_c, N_c = evaluate(state_at(coarse, t_report), problem, basis, xs)
+    M_f, N_f = evaluate(state_at(fine, t_report), problem, basis, xs)
     dM, dN = M_c - M_f, N_c - N_f
     return NormReport(
         dt=config.dt,
@@ -101,15 +77,3 @@ def self_convergence(problem, basis, config, t_report, grid_points=DEFAULT_GRID_
         Linf_N=float(np.abs(dN).max()),
     )
 
-
-def table_emit(trajectory, problem, basis, xs, ts):
-    """Row-major (t-outer, x-inner) samples for CSV emission."""
-    rows = []
-    for t in ts:
-        state = _state_at(trajectory, t)
-        M, N = evaluate(state, problem, basis, np.asarray(xs, dtype=float))
-        rows.extend(
-            FieldSample(x=float(x), t=float(state.t), M=float(m), N=float(n))
-            for x, m, n in zip(xs, M, N)
-        )
-    return rows

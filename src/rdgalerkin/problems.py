@@ -24,8 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import basis as basis_mod
-
 _COMPAT_TOL = 1e-9
 
 
@@ -85,12 +83,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class PicardSplit:
-    """Linearization fields for one iterate, all vectorized over x."""
+    """Linearization fields for one iterate, as arrays at fixed points."""
 
-    gamma: Callable[[np.ndarray], np.ndarray]   # M-equation load part
-    omega: Callable[[np.ndarray], np.ndarray]   # M-equation, multiplies (N - gamma0)
-    pi: Callable[[np.ndarray], np.ndarray]      # N-equation load part
-    phi: Callable[[np.ndarray], np.ndarray]     # N-equation, multiplies (M - theta0)
+    gamma: np.ndarray   # M-equation load part
+    omega: np.ndarray   # M-equation, multiplies (N - gamma0)
+    pi: np.ndarray      # N-equation load part
+    phi: np.ndarray     # N-equation, multiplies (M - theta0)
 
 
 def sine_power_profile(amplitude, power, x_ref, width, offset):
@@ -165,38 +163,36 @@ def builtin_grayscott():
     )
 
 
-def picard_split(problem, basis, prev_c, prev_d):
-    """Build the linearization fields from a previous-iterate coefficient pair.
+def picard_split(problem, B, prev_c, prev_d):
+    """Linearization fields of a previous-iterate coefficient pair.
 
+    ``B`` holds the basis values at the points the fields are wanted at,
+    shape (size, points), as tabulated in ``assembly.Discretization``.
     Degenerate exponents fall back to full lagging: with beta = 0 the
     M-equation has no N factor to keep implicit, so omega = 0 and the whole
     reaction rides in gamma (and symmetrically for alpha = 0).
     """
     prev_c = np.asarray(prev_c, dtype=float)
     prev_d = np.asarray(prev_d, dtype=float)
-    if prev_c.shape != (basis.size,) or prev_d.shape != (basis.size,):
-        raise ValueError(f"coefficient vectors must have length {basis.size}")
+    size = B.shape[0]
+    if prev_c.shape != (size,) or prev_d.shape != (size,):
+        raise ValueError(f"coefficient vectors must have length {size}")
     alpha, beta = problem.reaction.alpha, problem.reaction.beta
-    theta0, gamma0 = problem.theta0, problem.gamma0
-
-    def field_M(x):
-        return theta0 + prev_c @ basis_mod.value_matrix(basis, x)
-
-    def field_N(x):
-        return gamma0 + prev_d @ basis_mod.value_matrix(basis, x)
+    M = problem.theta0 + prev_c @ B
+    N = problem.gamma0 + prev_d @ B
 
     if beta == 0:
-        omega = lambda x: np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-        gamma = lambda x: problem.reaction(field_M(x), field_N(x))
+        omega = np.zeros_like(M)
+        gamma = problem.reaction(M, N)
     else:
-        omega = lambda x: field_M(x) ** alpha * field_N(x) ** (beta - 1)
-        gamma = lambda x: omega(x) * gamma0
+        omega = M ** alpha * N ** (beta - 1)
+        gamma = omega * problem.gamma0
 
     if alpha == 0:
-        phi = lambda x: np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-        pi = lambda x: problem.reaction(field_M(x), field_N(x))
+        phi = np.zeros_like(M)
+        pi = problem.reaction(M, N)
     else:
-        phi = lambda x: field_M(x) ** (alpha - 1) * field_N(x) ** beta
-        pi = lambda x: phi(x) * theta0
+        phi = M ** (alpha - 1) * N ** beta
+        pi = phi * problem.theta0
 
     return PicardSplit(gamma=gamma, omega=omega, pi=pi, phi=phi)

@@ -8,7 +8,7 @@ that choice; callers with non-polynomial data (projection of sin^100
 initial profiles) should boost the count themselves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,20 +10,18 @@ iterate and the primed blocks at the previous time level's converged
 state.  th = 1 is plain backward difference (the default); th = 0.5 is the
 trapezoidal member of the family and is genuinely second order in time
 because the nonlinear blocks are weighted between the two time levels.
-C, K1, K4 are iterate-independent and assembled once per run.
+C, K1, K4 and the basis tables are iterate-independent and built once per
+run, in an ``assembly.Discretization``.
 """
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import assembly, quadrature
-from .linalg import BlockSystem, condition_estimate, lu_solve
+from .linalg import BlockSystem, lu_solve
 from .problems import picard_split
-
-log = logging.getLogger(__name__)
 
 _DIVERGENCE_GUARD = 1e6
 _INITIAL_RULE_BOOST = 3
@@ -43,9 +41,16 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time-stepping and Picard settings of one run.
+
+    The basis degree comes from the ``BasisSpec``; ``degree`` is optional
+    and, when given, must equal it.  ``quad_points`` defaults to
+    ``quadrature.default_point_count`` of the basis degree.
+    """
+
     dt: float
     t_end: float
-    degree: int = 6
+    degree: Optional[int] = None
     theta: float = 1.0
     picard_tol: float = 1e-10
     picard_max: int = 50
@@ -70,13 +75,6 @@ class SolverConfig:
     def step_count(self):
         return int(round(self.t_end / self.dt))
 
-    def resolve_quad_points(self):
-        return (
-            self.quad_points
-            if self.quad_points is not None
-            else quadrature.default_point_count(self.degree)
-        )
-
 
 @dataclass(frozen=True)
 class CoefficientState:
@@ -88,79 +86,86 @@ class CoefficientState:
     picard_iters_last: int = 0
 
 
-@dataclass(frozen=True)
-class _StaticParts:
-    """Iterate-independent pieces, assembled once per trajectory."""
-
-    rule: quadrature.QuadratureRule
-    C: np.ndarray
-    K1: np.ndarray
-    K4: np.ndarray
+def state_at(trajectory, t):
+    """The state of ``trajectory`` at time t (to a relative 1e-9)."""
+    for state in trajectory:
+        if abs(state.t - t) <= 1e-9 * max(1.0, abs(t)):
+            return state
+    raise ValueError(f"time {t} not on the trajectory grid")
 
 
-def _build_static(problem, basis, config):
-    rule = quadrature.gauss_legendre(
-        config.resolve_quad_points(), basis.lower, basis.upper
+def _check_degree(basis, config):
+    if config.degree is not None and config.degree != basis.degree:
+        raise ValueError(
+            f"SolverConfig.degree ({config.degree}) differs from the basis "
+            f"degree ({basis.degree})"
+        )
+
+
+def discretize(problem, basis, config, boost=1):
+    """The run's ``Discretization``, on a rule of ``boost`` times the configured size."""
+    _check_degree(basis, config)
+    points = (
+        config.quad_points
+        if config.quad_points is not None
+        else quadrature.default_point_count(basis.degree)
     )
-    C = assembly.assemble_mass(basis, rule)
-    K1 = assembly.assemble_stiffness(basis, rule, problem.eps1, problem.decay_M)
-    K4 = assembly.assemble_stiffness(basis, rule, problem.eps2, problem.decay_N)
-    return _StaticParts(rule=rule, C=C, K1=K1, K4=K4)
+    rule = quadrature.gauss_legendre(boost * points, basis.lower, basis.upper)
+    return assembly.Discretization.build(problem, basis, rule)
 
 
-def _nonlinear_blocks(problem, basis, rule, c_at, d_at):
+def _nonlinear_blocks(problem, disc, c_at, d_at):
     """Iterate-dependent blocks (K2, K3, F1, F2) at one coefficient state."""
-    split = picard_split(problem, basis, c_at, d_at)
-    K2 = assembly.assemble_coupling(
-        basis, rule, lambda x: -problem.sign_M * split.omega(x)
-    )
-    K3 = assembly.assemble_coupling(
-        basis, rule, lambda x: -problem.sign_N * split.phi(x)
-    )
-    F1, F2 = assembly.assemble_loads(problem, basis, rule, split)
+    split = picard_split(problem, disc.B, c_at, d_at)
+    w = disc.rule.weights
+    K2 = assembly.assemble_coupling(disc.B, w, -problem.sign_M * split.omega)
+    K3 = assembly.assemble_coupling(disc.B, w, -problem.sign_N * split.phi)
+    F1, F2 = assembly.assemble_loads(problem, disc, split)
     return K2, K3, F1, F2
 
 
-def _block(problem, basis, static, config, c_prev, d_prev, c_it, d_it, old_blocks):
+def _block(problem, disc, config, c_prev, d_prev, c_it, d_it, old_blocks):
     """Assemble the coupled theta-weighted system at one Picard iterate."""
-    K2, K3, F1, F2 = _nonlinear_blocks(problem, basis, static.rule, c_it, d_it)
+    K2, K3, F1, F2 = _nonlinear_blocks(problem, disc, c_it, d_it)
 
-    n = basis.size
+    n = disc.C.shape[0]
     th = config.theta
-    Cdt = static.C / config.dt
+    Cdt = disc.C / config.dt
     A = np.zeros((2 * n, 2 * n))
-    A[:n, :n] = Cdt + th * static.K1
+    A[:n, :n] = Cdt + th * disc.K1
     A[:n, n:] = th * K2
     A[n:, :n] = th * K3
-    A[n:, n:] = Cdt + th * static.K4
+    A[n:, n:] = Cdt + th * disc.K4
     rhs_c = Cdt @ c_prev + th * F1
     rhs_d = Cdt @ d_prev + th * F2
     if th < 1.0:
         K2o, K3o, F1o, F2o = old_blocks
-        rhs_c -= (1 - th) * (static.K1 @ c_prev + K2o @ d_prev - F1o)
-        rhs_d -= (1 - th) * (K3o @ c_prev + static.K4 @ d_prev - F2o)
+        rhs_c -= (1 - th) * (disc.K1 @ c_prev + K2o @ d_prev - F1o)
+        rhs_d -= (1 - th) * (K3o @ c_prev + disc.K4 @ d_prev - F2o)
     return BlockSystem(matrix=A, rhs=np.concatenate([rhs_c, rhs_d]))
 
 
-def step(state, problem, basis, config, static=None):
-    """Advance one time increment, iterating Picard to tolerance."""
-    if static is None:
-        static = _build_static(problem, basis, config)
+def step(state, problem, basis, config, disc=None):
+    """Advance one time increment, iterating Picard to tolerance.
+
+    ``disc`` is the run's discretization; it is built when not given.
+    """
+    _check_degree(basis, config)
+    if disc is None:
+        disc = discretize(problem, basis, config)
     n = basis.size
     if state.c.shape != (n,) or state.d.shape != (n,):
         raise ValueError("state inconsistent with basis degree")
 
     c_prev, d_prev = state.c, state.d
     old_blocks = (
-        _nonlinear_blocks(problem, basis, static.rule, c_prev, d_prev)
+        _nonlinear_blocks(problem, disc, c_prev, d_prev)
         if config.theta < 1.0
         else None
     )
     c_it, d_it = c_prev.copy(), d_prev.copy()
     for k in range(1, config.picard_max + 1):
-        system = _block(
-            problem, basis, static, config, c_prev, d_prev, c_it, d_it, old_blocks
-        )
+        system = _block(problem, disc, config, c_prev, d_prev, c_it, d_it, old_blocks)
         sol = lu_solve(system)
         c_new, d_new = sol[:n], sol[n:]
         correction = max(
@@ -178,27 +183,16 @@ def step(state, problem, basis, config, static=None):
 
 
 def initial_state(problem, basis, config):
-    """Galerkin projection of the initial data onto the basis."""
-    boosted = quadrature.gauss_legendre(
-        _INITIAL_RULE_BOOST * config.resolve_quad_points(),
-        basis.lower,
-        basis.upper,
-    )
-    c0, d0 = assembly.project_initial(problem, basis, boosted)
+    """Galerkin projection of the initial data onto the basis, on a boosted rule."""
+    boosted = discretize(problem, basis, config, boost=_INITIAL_RULE_BOOST)
+    c0, d0 = assembly.project_initial(problem, boosted)
     return CoefficientState(c=c0, d=d0, t=0.0)
 
 
 def run(problem, basis, config):
     """Full trajectory: projected initial state plus one state per step."""
-    static = _build_static(problem, basis, config)
-    cond = condition_estimate(
-        np.block([
-            [static.C / config.dt + static.K1, np.zeros_like(static.C)],
-            [np.zeros_like(static.C), static.C / config.dt + static.K4],
-        ])
-    )
-    log.debug("diagonal block condition estimate %.2e", cond)
+    disc = discretize(problem, basis, config)
     states = [initial_state(problem, basis, config)]
     for _ in range(config.step_count):
-        states.append(step(states[-1], problem, basis, config, static=static))
+        states.append(step(states[-1], problem, basis, config, disc=disc))
     return states

@@ -13,7 +13,7 @@ import pytest
 from conftest import record_criterion
 
 from rdgalerkin.assembly import assemble_mass, assemble_stiffness
-from rdgalerkin.basis import BasisSpec, value, value_matrix
+from rdgalerkin.basis import BasisSpec, derivative_matrix, value, value_matrix
 from rdgalerkin.cli import main as cli_main
 from rdgalerkin.fdref import compare, fd_solve
 from rdgalerkin.goldens import run_problem_goldens
@@ -26,7 +26,7 @@ from rdgalerkin.problems import (
     builtin_tp1,
 )
 from rdgalerkin.quadrature import gauss_legendre, integrate
-from rdgalerkin.stepper import SolverConfig, _block, _build_static, initial_state, run, step
+from rdgalerkin.stepper import SolverConfig, _block, discretize, initial_state, run, step
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
@@ -72,9 +72,10 @@ def test_criterion_1_basis_identities():
 def test_criterion_2_closed_form_assembly():
     spec = BasisSpec(0.0, 1.0, 0)
     rule = gauss_legendre(12, 0.0, 1.0)
-    mass_ok = abs(assemble_mass(spec, rule)[0, 0] - 1 / 30) <= 1e-12
+    B, dB = value_matrix(spec, rule.nodes), derivative_matrix(spec, rule.nodes)
+    mass_ok = abs(assemble_mass(B, rule.weights)[0, 0] - 1 / 30) <= 1e-12
     stiff_ok = abs(
-        assemble_stiffness(spec, rule, eps=1.0, decay=0.0)[0, 0] - 1 / 3
+        assemble_stiffness(B, dB, rule.weights, eps=1.0, decay=0.0)[0, 0] - 1 / 3
     ) <= 1e-12
 
     problem = _heat_problem()
@@ -197,10 +198,10 @@ def test_criterion_7_property_suite(tmp_path):
     problem = builtin_tp1()
     basis = BasisSpec(problem.lower, problem.upper, 6)
     config = SolverConfig(dt=0.1, t_end=0.1, picard_tol=1e-12)
-    static = _build_static(problem, basis, config)
+    disc = discretize(problem, basis, config)
     s0 = initial_state(problem, basis, config)
-    s1 = step(s0, problem, basis, config, static=static)
-    system = _block(problem, basis, static, config, s0.c, s0.d, s1.c, s1.d, None)
+    s1 = step(s0, problem, basis, config, disc=disc)
+    system = _block(problem, disc, config, s0.c, s0.d, s1.c, s1.d, None)
     x = np.concatenate([s1.c, s1.d])
     resid = np.abs(system.matrix @ x - system.rhs).max()
     checks["picard-fixed-point"] = resid <= 1e-8 * (1.0 + np.abs(system.rhs).max())
@@ -225,8 +226,8 @@ def test_criterion_7_property_suite(tmp_path):
     heat = _heat_problem()
     b = BasisSpec(0.0, 1.0, 6)
     cfg = SolverConfig(dt=0.02, t_end=0.2)
-    st = _build_static(heat, b, cfg)
-    energies = [s.c @ st.C @ s.c for s in run(heat, b, cfg)]
+    disc = discretize(heat, b, cfg)
+    energies = [s.c @ disc.C @ s.c for s in run(heat, b, cfg)]
     checks["dissipativity"] = bool(np.all(np.diff(energies) <= 1e-14))
 
     # quadrature exactness at the minimum sufficient point count

@@ -132,6 +132,24 @@ class TestMain:
         assert (out / "solution_t1.svg").read_text().startswith("<svg")
         assert "t=1:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--report-times", "-1"], "report_times"),
+            (["--dt", "inf"], "dt"),
+            (["--dt", "nan"], "dt"),
+            (["--convergence-dts", "0"], "convergence_dts"),
+            (["--quad-points", "2"], "quad_points"),
+        ],
+    )
+    def test_invalid_input_is_config_error(self, tmp_path, capsys, extra, field):
+        # argparse keeps the last value, so the extra flags override TP1_ARGS
+        code = main(TP1_ARGS + extra + ["--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"configuration error: {field}:")
+
     def test_csv_is_byte_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(TP1_ARGS + ["--output-dir", str(out1)]) == 0

@@ -31,10 +31,10 @@ class TestFdSolve:
     def test_boundary_nodes_pinned(self):
         problem = builtin_tp1()
         grid = fd_solve(problem, nx=201, dt=0.05, t_end=0.5)
-        assert grid.M_values[0] == pytest.approx(problem.theta0, abs=1e-12)
-        assert grid.M_values[-1] == pytest.approx(problem.theta0, abs=1e-12)
-        assert grid.N_values[0] == pytest.approx(problem.gamma0, abs=1e-12)
-        assert grid.N_values[-1] == pytest.approx(problem.gamma0, abs=1e-12)
+        assert grid.M_values[0] == problem.theta0
+        assert grid.M_values[-1] == problem.theta0
+        assert grid.N_values[0] == problem.gamma0
+        assert grid.N_values[-1] == problem.gamma0
 
     def test_grid_metadata(self):
         problem = builtin_tp1()

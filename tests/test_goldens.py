@@ -97,5 +97,5 @@ class TestCheck:
         basis = BasisSpec(problem.lower, problem.upper, 6)
         trajectory = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
         entry = GoldenEntry("tp1", "M", 1.0, 7.0, 0.0, 1e-3, "table1")
-        with pytest.raises(ValueError, match="missing from trajectory"):
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
             check_goldens([entry], trajectory, problem, basis)

@@ -7,7 +7,6 @@ from rdgalerkin.norms import (
     evaluate,
     sample_grid,
     self_convergence,
-    table_emit,
 )
 from rdgalerkin.problems import builtin_grayscott, builtin_tp1
 from rdgalerkin.stepper import CoefficientState, SolverConfig, run
@@ -102,30 +101,6 @@ class TestSelfConvergence:
         assert abs(r201.Linf_M - r101.Linf_M) <= 0.05 * r201.Linf_M
         # L2 is unnormalized, so it scales roughly with sqrt(grid points)
         assert r201.L2_M / r101.L2_M == pytest.approx(np.sqrt(2), rel=0.1)
-
-
-class TestTableEmit:
-    def test_layout_is_time_outer(self, tp1_run):
-        problem, basis, states = tp1_run
-        xs = np.linspace(0.0, 2.0, 21)
-        rows = table_emit(states, problem, basis, xs, ts=[1.0, 2.0])
-        assert len(rows) == 42
-        assert [r.t for r in rows[:21]] == pytest.approx([1.0] * 21)
-        assert [r.t for r in rows[21:]] == pytest.approx([2.0] * 21)
-        assert [r.x for r in rows[:21]] == pytest.approx(list(xs))
-
-    def test_rows_match_direct_evaluation(self, tp1_run):
-        problem, basis, states = tp1_run
-        rows = table_emit(states, problem, basis, [0.5], ts=[2.0])
-        state = next(s for s in states if abs(s.t - 2.0) < 1e-9)
-        M, N = evaluate(state, problem, basis, 0.5)
-        assert rows[0].M == M
-        assert rows[0].N == N
-
-    def test_off_grid_time_rejected(self, tp1_run):
-        problem, basis, states = tp1_run
-        with pytest.raises(ValueError, match="not on the trajectory grid"):
-            table_emit(states, problem, basis, [0.5], ts=[0.55])
 
 
 def test_sample_grid_spans_domain():

@@ -117,12 +117,12 @@ class TestPicardSplit:
         for _ in range(5):
             c = rng.uniform(-1, 1, basis.size)
             d = rng.uniform(-1, 1, basis.size)
-            split = picard_split(problem, basis, c, d)
+            split = picard_split(problem, value_matrix(basis, x), c, d)
             M, N = self._fields(problem, basis, c, d, x)
             f = problem.reaction(M, N)
             scale = np.abs(f).max() + 1e-30
-            lhs_M = split.gamma(x) + split.omega(x) * (N - problem.gamma0)
-            lhs_N = split.pi(x) + split.phi(x) * (M - problem.theta0)
+            lhs_M = split.gamma + split.omega * (N - problem.gamma0)
+            lhs_N = split.pi + split.phi * (M - problem.theta0)
             assert np.abs(lhs_M - f).max() <= 1e-10 * scale
             assert np.abs(lhs_N - f).max() <= 1e-10 * scale
 
@@ -130,10 +130,10 @@ class TestPicardSplit:
         problem = builtin_grayscott()
         basis = BasisSpec(problem.lower, problem.upper, 6)
         zero = np.zeros(basis.size)
-        split = picard_split(problem, basis, zero, zero)
         x = np.linspace(-50, 50, 11)
-        assert np.abs(split.omega(x)).max() == 0.0   # N~ = gamma0 = 0
-        assert np.abs(split.gamma(x)).max() == 0.0
+        split = picard_split(problem, value_matrix(basis, x), zero, zero)
+        assert np.abs(split.omega).max() == 0.0   # N~ = gamma0 = 0
+        assert np.abs(split.gamma).max() == 0.0
 
     def test_tp1_split_is_squared_m_field(self):
         problem = builtin_tp1()
@@ -141,11 +141,11 @@ class TestPicardSplit:
         rng = np.random.default_rng(11)
         c = rng.uniform(-1, 1, basis.size)
         d = rng.uniform(-1, 1, basis.size)
-        split = picard_split(problem, basis, c, d)
         x = np.linspace(0, 2, 33)
+        split = picard_split(problem, value_matrix(basis, x), c, d)
         M, _ = self._fields(problem, basis, c, d, x)
-        assert split.omega(x) == pytest.approx(M ** 2, rel=1e-12)
-        assert split.gamma(x) == pytest.approx(M ** 2 * problem.gamma0, rel=1e-12)
+        assert split.omega == pytest.approx(M ** 2, rel=1e-12)
+        assert split.gamma == pytest.approx(M ** 2 * problem.gamma0, rel=1e-12)
 
     def test_degenerate_exponent_lags_fully(self):
         problem = builtin_tp1()
@@ -164,17 +164,17 @@ class TestPicardSplit:
         rng = np.random.default_rng(3)
         c = rng.uniform(-1, 1, basis.size)
         d = rng.uniform(-1, 1, basis.size)
-        split = picard_split(prob0, basis, c, d)
         x = np.linspace(0, 2, 21)
+        split = picard_split(prob0, value_matrix(basis, x), c, d)
         M, N = self._fields(prob0, basis, c, d, x)
-        assert np.abs(split.phi(x)).max() == 0.0
-        assert split.pi(x) == pytest.approx(prob0.reaction(M, N), rel=1e-12)
+        assert np.abs(split.phi).max() == 0.0
+        assert split.pi == pytest.approx(prob0.reaction(M, N), rel=1e-12)
 
     def test_rejects_wrong_vector_length(self):
         problem = builtin_tp1()
         basis = BasisSpec(0.0, 2.0, 6)
         with pytest.raises(ValueError):
-            picard_split(problem, basis, np.zeros(3), np.zeros(7))
+            picard_split(problem, value_matrix(basis, [1.0]), np.zeros(3), np.zeros(7))
 
 
 def test_sine_power_profile_formula():

@@ -9,9 +9,10 @@ from rdgalerkin.stepper import (
     PicardConvergenceError,
     SolverConfig,
     _block,
-    _build_static,
+    discretize,
     initial_state,
     run,
+    state_at,
     step,
 )
 
@@ -59,6 +60,28 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_rule_sized_from_basis_degree(self):
+        # 2m + 12 points for m = 10; no degree on the config
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 10)
+        disc = discretize(problem, basis, SolverConfig(dt=0.1, t_end=0.1))
+        assert disc.rule.point_count == 32
+        assert disc.B.shape == (11, 32)
+
+    @pytest.mark.parametrize("entry", ["run", "step", "initial_state"])
+    def test_config_degree_must_match_basis(self, entry):
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 10)
+        config = SolverConfig(dt=0.1, t_end=0.1, degree=6)
+        state = CoefficientState(c=np.zeros(11), d=np.zeros(11), t=0.0)
+        call = {
+            "run": lambda: run(problem, basis, config),
+            "step": lambda: step(state, problem, basis, config),
+            "initial_state": lambda: initial_state(problem, basis, config),
+        }[entry]
+        with pytest.raises(ValueError, match="differs from the basis degree"):
+            call()
+
 
 class TestSingleStep:
     def test_heat_single_mode_halves(self):
@@ -99,12 +122,10 @@ class TestSingleStep:
         problem = builtin_tp1()
         basis = BasisSpec(problem.lower, problem.upper, 6)
         config = SolverConfig(dt=0.1, t_end=0.1, picard_tol=1e-12)
-        static = _build_static(problem, basis, config)
+        disc = discretize(problem, basis, config)
         s0 = initial_state(problem, basis, config)
-        s1 = step(s0, problem, basis, config, static=static)
-        system = _block(
-            problem, basis, static, config, s0.c, s0.d, s1.c, s1.d, None
-        )
+        s1 = step(s0, problem, basis, config, disc=disc)
+        system = _block(problem, disc, config, s0.c, s0.d, s1.c, s1.d, None)
         x = np.concatenate([s1.c, s1.d])
         resid = np.abs(system.matrix @ x - system.rhs).max()
         assert resid <= 1e-8 * (1.0 + np.abs(system.rhs).max())
@@ -151,9 +172,9 @@ class TestRun:
         problem = heat_problem()
         basis = BasisSpec(0.0, 1.0, 6)
         config = SolverConfig(dt=0.02, t_end=0.2)
-        static = _build_static(problem, basis, config)
+        disc = discretize(problem, basis, config)
         states = run(problem, basis, config)
-        energies = [s.c @ static.C @ s.c for s in states]
+        energies = [s.c @ disc.C @ s.c for s in states]
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-14)
 
@@ -168,6 +189,15 @@ class TestRun:
         )
         ratio = coarse.L2_M / fine.L2_M
         assert 1.8 <= ratio <= 4.5
+
+
+class TestStateAt:
+    def test_off_grid_time_rejected(self):
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 6)
+        states = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            state_at(states, 0.55)
 
 
 class TestPicardFailure:
