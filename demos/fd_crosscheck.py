@@ -6,22 +6,31 @@ differences on a fine grid. For the coupled parabolic problem they agree
 to a few parts in 1e8; for Gray-Scott they diverge at the centre because
 the degree-6 basis cannot represent the narrow initial pulse the fine
 grid resolves (docs/benchmark-discrepancies.md, section 2).
+
+Writes the two reports to ``reports/fd_discrepancy_*.csv``:
+
+    PYTHONPATH=src python3 demos/fd_crosscheck.py
 """
+
+from pathlib import Path
 
 from rdgalerkin import builtin_grayscott, builtin_tp1
 from rdgalerkin.basis import BasisSpec
-from rdgalerkin.fdref import compare, fd_solve
+from rdgalerkin.fdref import compare, fd_solve, write_report
 from rdgalerkin.stepper import SolverConfig
 
 import numpy as np
 
+REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
-def crosscheck(name, problem, fd_nx):
+
+def crosscheck(name, report, problem, fd_nx):
     basis = BasisSpec(problem.lower, problem.upper, 6)
     rep = compare(
         problem, basis, SolverConfig(dt=0.01, t_end=1.0),
         fd_nx=fd_nx, fd_dt=0.01, t=1.0,
     )
+    write_report(rep, REPORT_DIR / f"fd_discrepancy_{report}.csv")
     print(
         f"{name}: Linf_M = {rep.Linf_M:.3e}, Linf_N = {rep.Linf_N:.3e} "
         f"(vs nx = {fd_nx} oracle at t = 1)"
@@ -44,6 +53,6 @@ def contraction():
 
 
 if __name__ == "__main__":
-    crosscheck("coupled parabolic", builtin_tp1(), fd_nx=1001)
-    crosscheck("Gray-Scott       ", builtin_grayscott(), fd_nx=2001)
+    crosscheck("coupled parabolic", "coupled_parabolic", builtin_tp1(), fd_nx=1001)
+    crosscheck("Gray-Scott       ", "grayscott", builtin_grayscott(), fd_nx=2001)
     contraction()

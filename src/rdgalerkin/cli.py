@@ -12,20 +12,18 @@ Outputs (all deterministic; identical configs yield byte-identical files):
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from . import svg
 from .basis import BasisSpec
 from .linalg import SingularMatrixError
-from .norms import evaluate, sample_grid, self_convergence
+from .norms import evaluate, halving_report, sample_grid
 from .problems import ProblemSpec, ReactionForm, builtin_grayscott, builtin_tp1, sine_power_profile
-from .stepper import PicardConvergenceError, SolverConfig, run, state_at
+from .stepper import PicardConvergenceError, SolverConfig, run, state_at, whole_steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,33 +36,109 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """The CLI's own settings around the ``SolverConfig`` of the main run."""
+
     problem_id: str
-    dt: float
-    t_end: float
+    solver: SolverConfig
+    report_times: list
     custom_path: Optional[str] = None
     degree: int = 6
-    theta: float = 1.0
-    picard_tol: float = 1e-10
-    picard_max: int = 50
-    quad_points: Optional[int] = None
     grid_points: int = 101
     output_dir: str = "."
     emit_svg: bool = False
     convergence_dts: Optional[list] = None
-    report_times: list = field(default_factory=list)
 
 
-_CONFIG_KEYS = (
-    "problem", "custom_path", "degree", "dt", "t_end", "theta", "picard_tol",
-    "picard_max", "quad_points", "grid_points", "output_dir", "emit_svg",
-    "convergence_dts", "report_times",
-)
+def _number(key, value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
+
+
+def _integer(key, value):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
+def _text(key, value):
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{key}: expected a string, got {value!r}")
+
+
+def _flag(key, value):
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key}: expected true or false, got {value!r}")
+
+
+def _numbers(key, value):
+    """A list of numbers, given as a list or as a comma-separated string."""
+    if isinstance(value, list):
+        return [_number(key, v) for v in value]
+    if isinstance(value, str):
+        try:
+            return [float(v) for v in value.split(",") if v.strip()]
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: cannot parse {value!r} as a number list")
+
+
+# config key -> conversion; flags arrive already typed by argparse
+_CONFIG_KEYS = {
+    "problem": _text, "custom_path": _text, "degree": _integer, "dt": _number,
+    "t_end": _number, "theta": _number, "picard_tol": _number, "picard_max": _integer,
+    "quad_points": _integer, "grid_points": _integer, "output_dir": _text,
+    "emit_svg": _flag, "convergence_dts": _numbers, "report_times": _numbers,
+}
+_SOLVER_KEYS = ("dt", "t_end", "theta", "picard_tol", "picard_max", "quad_points")
+_RUN_KEYS = ("custom_path", "degree", "grid_points", "output_dir", "emit_svg", "convergence_dts")
+
+
+def _read_json(path, key):
+    """The JSON object in the file at path; errors name ``key``."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as err:
+        raise ConfigError(f"{key}: cannot read {path}: {err}") from err
+    except ValueError as err:
+        raise ConfigError(f"{key}: invalid JSON in {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _convert(doc, kinds, where):
+    """Each value of doc converted by its key's entry in kinds."""
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return {key: kinds[key](key, value) for key, value in doc.items()}
+
+
+@contextmanager
+def _checked(prefix=""):
+    """Re-raise the ValueError of a library check as a ConfigError."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(prefix + str(err)) from err
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rdgalerkin",
         description="Galerkin reaction-diffusion solver with an endpoint-vanishing "
         "Bernstein basis (backward difference + Picard iteration).",
@@ -89,101 +163,64 @@ def _build_parser():
     return p
 
 
-def _float_list(value, name):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    try:
-        return [float(v) for v in str(value).split(",") if v.strip()]
-    except ValueError as err:
-        raise ConfigError(f"{name}: cannot parse {value!r} as a number list") from err
-
-
 def parse_config(argv):
-    """Merge config file and flags into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    merged = {}
-    if args.config:
-        try:
-            with open(args.config) as f:
-                doc = json.load(f)
-        except OSError as err:
-            raise ConfigError(f"config: cannot read {args.config}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config: invalid JSON in {args.config}: {err}") from err
-        unknown = set(doc) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        merged.update(doc)
-    for key in _CONFIG_KEYS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
+    """Merge config file and flags into a validated RunConfig.
 
-    problem_id = merged.get("problem")
+    A null in the config file, like an absent flag, leaves the default.
+    """
+    def given(doc):
+        return _convert({k: v for k, v in doc.items() if v is not None}, _CONFIG_KEYS, "config")
+
+    args = vars(_build_parser().parse_args(argv))
+    path = args.pop("config")
+    values = given(_read_json(path, "config")) if path else {}
+    values.update(given(args))
+
+    problem_id = values.get("problem")
     if problem_id not in ("tp1", "grayscott", "custom"):
         raise ConfigError("problem: must be one of tp1, grayscott, custom")
-    custom_path = merged.get("custom_path")
-    if (problem_id == "custom") != (custom_path is not None):
+    if (problem_id == "custom") != ("custom_path" in values):
         raise ConfigError("custom_path: required exactly when problem is 'custom'")
-    if merged.get("dt") is None:
-        raise ConfigError("dt: required")
-    if merged.get("t_end") is None:
-        raise ConfigError("t_end: required")
-
+    for key in ("dt", "t_end"):
+        if key not in values:
+            raise ConfigError(f"{key}: required")
+    with _checked():
+        solver = SolverConfig(**{k: values[k] for k in _SOLVER_KEYS if k in values})
     cfg = RunConfig(
         problem_id=problem_id,
-        custom_path=custom_path,
-        dt=float(merged["dt"]),
-        t_end=float(merged["t_end"]),
-        degree=int(merged.get("degree", 6)),
-        theta=float(merged.get("theta", 1.0)),
-        picard_tol=float(merged.get("picard_tol", 1e-10)),
-        picard_max=int(merged.get("picard_max", 50)),
-        quad_points=None if merged.get("quad_points") is None else int(merged["quad_points"]),
-        grid_points=int(merged.get("grid_points", 101)),
-        output_dir=str(merged.get("output_dir", ".")),
-        emit_svg=bool(merged.get("emit_svg", False)),
-        convergence_dts=_float_list(merged.get("convergence_dts"), "convergence_dts"),
-        report_times=_float_list(merged.get("report_times"), "report_times") or [],
+        solver=solver,
+        report_times=values.get("report_times") or [solver.t_end],
+        **{k: values[k] for k in _RUN_KEYS if k in values},
     )
-    if not cfg.report_times:
-        cfg.report_times = [cfg.t_end]
-    if not (math.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ConfigError(f"dt: must be finite and positive, got {cfg.dt}")
-    if not (math.isfinite(cfg.t_end) and cfg.t_end >= 0):
-        raise ConfigError(f"t_end: must be finite and non-negative, got {cfg.t_end}")
     if cfg.grid_points < 2:
         raise ConfigError("grid_points: must be at least 2")
-    if cfg.quad_points is not None and cfg.quad_points < cfg.degree + 1:
-        raise ConfigError(
-            f"quad_points: {cfg.quad_points} is fewer than the {cfg.degree + 1} "
-            "basis members"
-        )
+    with _checked():
+        solver.rule_points(cfg.degree)
     for t in cfg.report_times:
-        if not (math.isfinite(t) and t >= 0):
-            raise ConfigError(f"report_times: {t} must be finite and non-negative")
-        steps = t / cfg.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ConfigError(f"report_times: {t} is not a multiple of dt={cfg.dt}")
-        if t > cfg.t_end + 1e-12:
-            raise ConfigError(f"report_times: {t} exceeds t_end={cfg.t_end}")
-    if cfg.convergence_dts is not None:
-        for dt in cfg.convergence_dts:
-            if not (math.isfinite(dt) and dt > 0):
-                raise ConfigError(f"convergence_dts: {dt} must be finite and positive")
-            steps = cfg.t_end / dt
-            if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-                raise ConfigError(f"convergence_dts: t_end={cfg.t_end} not a multiple of {dt}")
+        if not t >= 0:
+            raise ConfigError(f"report_times: {t} must be non-negative")
+        with _checked():
+            whole_steps(t, solver.dt, "report_times")
+        if t > solver.t_end + 1e-12:
+            raise ConfigError(f"report_times: {t} exceeds t_end={solver.t_end}")
+    for dt in cfg.convergence_dts or ():
+        with _checked("convergence_dts: "):
+            replace(solver, dt=dt)
     return cfg
 
 
-_CUSTOM_SCALARS = (
-    "lower", "upper", "eps1", "eps2", "theta0", "gamma0", "alpha", "beta",
-    "sign_M", "sign_N", "decay_M", "decay_N", "source_M", "source_N",
-)
 _CUSTOM_IC = ("amplitude", "power", "x_ref", "width", "offset")
+_CUSTOM_KEYS = {
+    **{key: _number for key in (
+        "lower", "upper", "eps1", "eps2", "theta0", "gamma0",
+        "decay_M", "decay_N", "source_M", "source_N",
+    )},
+    **{key: _integer for key in ("alpha", "beta", "sign_M", "sign_N")},
+    **{
+        f"initial_{sp}_{k}": _integer if k == "power" else _number
+        for sp in "MN" for k in _CUSTOM_IC
+    },
+}
 
 
 def load_custom_problem(path):
@@ -193,53 +230,21 @@ def load_custom_problem(path):
     amplitude * sin^power(pi (x - x_ref) / width) + offset, expressed as
     keys ``initial_M_amplitude`` ... ``initial_N_offset``.
     """
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as err:
-        raise ConfigError(f"custom_path: cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"custom_path: invalid JSON: {err}") from err
-
-    expected = set(_CUSTOM_SCALARS) | {
-        f"initial_{sp}_{k}" for sp in "MN" for k in _CUSTOM_IC
-    }
-    missing = expected - set(doc)
+    doc = _read_json(path, "custom_path")
+    missing = set(_CUSTOM_KEYS) - set(doc)
     if missing:
         raise ConfigError(f"custom problem: missing keys {sorted(missing)}")
-    unknown = set(doc) - expected
-    if unknown:
-        raise ConfigError(f"custom problem: unknown keys {sorted(unknown)}")
-
-    def ic(sp):
-        return sine_power_profile(
-            float(doc[f"initial_{sp}_amplitude"]),
-            int(doc[f"initial_{sp}_power"]),
-            float(doc[f"initial_{sp}_x_ref"]),
-            float(doc[f"initial_{sp}_width"]),
-            float(doc[f"initial_{sp}_offset"]),
-        )
-
-    try:
+    doc = _convert(doc, _CUSTOM_KEYS, "custom problem")
+    initial = {
+        f"initial_{sp}": sine_power_profile(*(doc.pop(f"initial_{sp}_{k}") for k in _CUSTOM_IC))
+        for sp in "MN"
+    }
+    with _checked("custom problem: "):
         return ProblemSpec(
-            lower=float(doc["lower"]),
-            upper=float(doc["upper"]),
-            eps1=float(doc["eps1"]),
-            eps2=float(doc["eps2"]),
-            theta0=float(doc["theta0"]),
-            gamma0=float(doc["gamma0"]),
-            reaction=ReactionForm(alpha=int(doc["alpha"]), beta=int(doc["beta"])),
-            sign_M=int(doc["sign_M"]),
-            sign_N=int(doc["sign_N"]),
-            decay_M=float(doc["decay_M"]),
-            decay_N=float(doc["decay_N"]),
-            source_M=float(doc["source_M"]),
-            source_N=float(doc["source_N"]),
-            initial_M=ic("M"),
-            initial_N=ic("N"),
+            reaction=ReactionForm(alpha=doc.pop("alpha"), beta=doc.pop("beta")),
+            **initial,
+            **doc,
         )
-    except ValueError as err:
-        raise ConfigError(f"custom problem: {err}") from err
 
 
 def _problem_for(cfg):
@@ -255,27 +260,29 @@ def _fmt(v):
 
 
 def run_and_emit(cfg):
-    """Execute the configured run and write all outputs; returns exit code."""
+    """Execute the configured run and write all outputs; returns exit code.
+
+    Trajectories are kept by dt, so a convergence study solves each
+    distinct dt (including the main run's) once.
+    """
     problem = _problem_for(cfg)
     basis = BasisSpec(problem.lower, problem.upper, cfg.degree)
-    solver_cfg = SolverConfig(
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        theta=cfg.theta,
-        picard_tol=cfg.picard_tol,
-        picard_max=cfg.picard_max,
-        quad_points=cfg.quad_points,
-    )
-    trajectory = run(problem, basis, solver_cfg)
+    trajectories = {}
+
+    def trajectory(dt):
+        if dt not in trajectories:
+            trajectories[dt] = run(problem, basis, replace(cfg.solver, dt=dt))
+        return trajectories[dt]
+
+    main_run = trajectory(cfg.solver.dt)
     xs = sample_grid(problem, cfg.grid_points)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    report_times = cfg.report_times if cfg.t_end > 0 else [0.0]
     with open(out / "solution.csv", "w", newline="\n") as f:
         f.write("x,t,M,N\n")
-        for t in report_times:
-            state = state_at(trajectory, t)
+        for t in cfg.report_times:
+            state = state_at(main_run, t)
             M, N = evaluate(state, problem, basis, xs)
             for x, m, n in zip(xs, M, N):
                 f.write(f"{_fmt(x)},{_fmt(state.t)},{_fmt(m)},{_fmt(n)}\n")
@@ -293,20 +300,15 @@ def run_and_emit(cfg):
                 )
 
     if cfg.convergence_dts:
-        dts = sorted(cfg.convergence_dts, reverse=True)
+        coarsest, *dts = sorted(cfg.convergence_dts, reverse=True)
         with open(out / "norms.csv", "w", newline="\n") as f:
             f.write("dt,L2_M,Linf_M,L2_N,Linf_N\n")
-            for i, dt in enumerate(dts):
-                if i == 0:
-                    # coarsest anchor row: no finer partner by convention
-                    f.write(f"{_fmt(dt)},,,,\n")
-                    continue
-                rep = self_convergence(
-                    problem,
-                    basis,
-                    replace(solver_cfg, dt=dt),
-                    cfg.t_end,
-                    grid_points=cfg.grid_points,
+            # coarsest anchor row: no finer partner by convention
+            f.write(f"{_fmt(coarsest)},,,,\n")
+            for dt in dts:
+                rep = halving_report(
+                    problem, basis, trajectory(dt), trajectory(dt / 2), dt,
+                    cfg.solver.t_end, cfg.grid_points,
                 )
                 f.write(
                     f"{_fmt(dt)},{_fmt(rep.L2_M)},{_fmt(rep.Linf_M)},"
@@ -326,7 +328,7 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as err:
-        # argparse exits 2 on unknown flags, which matches our config code
+        # argparse exits 0 after printing --help
         return EXIT_CONFIG if err.code else EXIT_OK
     try:
         return run_and_emit(cfg)

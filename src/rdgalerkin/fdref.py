@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .norms import evaluate, sample_grid
-from .stepper import PicardConvergenceError, run, state_at
+from .norms import difference_norms, evaluate, sample_grid
+from .stepper import PicardConvergenceError, run, state_at, whole_steps
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     """
     if nx < 3:
         raise ValueError("nx must be >= 3")
-    steps = t_end / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ValueError("t_end must be an integer multiple of dt")
-    steps = int(round(steps))
+    steps = whole_steps(t_end, dt, "t_end")
 
     x = np.linspace(problem.lower, problem.upper, nx)
     dx = x[1] - x[0]
@@ -160,12 +157,16 @@ def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=101):
     M_g, N_g = evaluate(state, problem, basis, xs)
     M_f = np.interp(xs, fd.x, fd.M_values)
     N_f = np.interp(xs, fd.x, fd.N_values)
-    dM, dN = M_g - M_f, N_g - N_f
     return DiscrepancyReport(
-        t=t,
-        grid_points=grid_points,
-        L2_M=float(np.sqrt(np.sum(dM ** 2))),
-        Linf_M=float(np.abs(dM).max()),
-        L2_N=float(np.sqrt(np.sum(dN ** 2))),
-        Linf_N=float(np.abs(dN).max()),
+        t=t, grid_points=grid_points, **difference_norms(M_g - M_f, N_g - N_f)
     )
+
+
+def write_report(report, path):
+    """Write a DiscrepancyReport as a header and one row, 9 significant digits."""
+    with open(path, "w", newline="\n") as f:
+        f.write(
+            "t,grid_points,L2_M,Linf_M,L2_N,Linf_N\n"
+            f"{report.t:.9g},{report.grid_points},{report.L2_M:.9g},{report.Linf_M:.9g},"
+            f"{report.L2_N:.9g},{report.Linf_N:.9g}\n"
+        )

@@ -59,21 +59,30 @@ def sample_grid(problem, grid_points):
     return np.linspace(problem.lower, problem.upper, grid_points)
 
 
-def self_convergence(problem, basis, config, t_report, grid_points=DEFAULT_GRID_POINTS):
-    """Norms of the difference between the dt and dt/2 solutions at t_report."""
-    coarse = run(problem, basis, config)
-    fine = run(problem, basis, replace(config, dt=config.dt / 2))
-    xs = sample_grid(problem, grid_points)
-    M_c, N_c = evaluate(state_at(coarse, t_report), problem, basis, xs)
-    M_f, N_f = evaluate(state_at(fine, t_report), problem, basis, xs)
-    dM, dN = M_c - M_f, N_c - N_f
-    return NormReport(
-        dt=config.dt,
-        t=t_report,
-        grid_points=grid_points,
+def difference_norms(dM, dN):
+    """Grid l2 and max norms of the field differences dM and dN, by NormReport field name."""
+    return dict(
         L2_M=float(np.sqrt(np.sum(dM ** 2))),
         Linf_M=float(np.abs(dM).max()),
         L2_N=float(np.sqrt(np.sum(dN ** 2))),
         Linf_N=float(np.abs(dN).max()),
     )
 
+
+def halving_report(problem, basis, coarse, fine, dt, t_report, grid_points=DEFAULT_GRID_POINTS):
+    """Norms of the difference between the trajectories ``coarse`` (step dt)
+    and ``fine`` (step dt/2) at t_report."""
+    xs = sample_grid(problem, grid_points)
+    M_c, N_c = evaluate(state_at(coarse, t_report), problem, basis, xs)
+    M_f, N_f = evaluate(state_at(fine, t_report), problem, basis, xs)
+    return NormReport(
+        dt=dt, t=t_report, grid_points=grid_points,
+        **difference_norms(M_c - M_f, N_c - N_f),
+    )
+
+
+def self_convergence(problem, basis, config, t_report, grid_points=DEFAULT_GRID_POINTS):
+    """Norms of the difference between the dt and dt/2 solutions at t_report."""
+    coarse = run(problem, basis, config)
+    fine = run(problem, basis, replace(config, dt=config.dt / 2))
+    return halving_report(problem, basis, coarse, fine, config.dt, t_report, grid_points)

@@ -14,6 +14,7 @@ C, K1, K4 and the basis tables are iterate-independent and built once per
 run, in an ``assembly.Discretization``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,13 +40,25 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
+def whole_steps(t, dt, name):
+    """The number of dt steps in t; a ValueError naming ``name`` unless t is a
+    whole multiple of dt (to a relative 1e-9, so a t below one step is only
+    accepted when it is 0)."""
+    steps = t / dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"{name}: {t} is not an integer multiple of dt={dt}")
+    return int(round(steps))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping and Picard settings of one run.
 
-    The basis degree comes from the ``BasisSpec``; ``degree`` is optional
-    and, when given, must equal it.  ``quad_points`` defaults to
-    ``quadrature.default_point_count`` of the basis degree.
+    The one place these settings are defaulted and checked; each error
+    message starts with the field name.  The basis degree comes from the
+    ``BasisSpec``; ``degree`` is optional and, when given, must equal it.
+    ``quad_points`` defaults to ``quadrature.default_point_count`` of the
+    basis degree (see ``rule_points``).
     """
 
     dt: float
@@ -57,23 +70,32 @@ class SolverConfig:
     quad_points: Optional[int] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt: must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end: must be finite and non-negative, got {self.t_end}")
         if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if self.picard_tol <= 0 or self.picard_max < 1:
-            raise ValueError("picard_tol must be > 0 and picard_max >= 1")
-        steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ValueError(
-                f"t_end ({self.t_end}) must be an integer multiple of dt ({self.dt})"
-            )
+            raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
+            raise ValueError(f"picard_tol: must be finite and positive, got {self.picard_tol}")
+        if self.picard_max < 1:
+            raise ValueError(f"picard_max: must be at least 1, got {self.picard_max}")
+        whole_steps(self.t_end, self.dt, "t_end")
 
     @property
     def step_count(self):
-        return int(round(self.t_end / self.dt))
+        return whole_steps(self.t_end, self.dt, "t_end")
+
+    def rule_points(self, degree):
+        """Quadrature points for a basis of ``degree``: ``quad_points`` or the default."""
+        if self.quad_points is None:
+            return quadrature.default_point_count(degree)
+        if self.quad_points < degree + 1:
+            raise ValueError(
+                f"quad_points: {self.quad_points} is fewer than the {degree + 1} "
+                "basis members"
+            )
+        return self.quad_points
 
 
 @dataclass(frozen=True)
@@ -105,11 +127,7 @@ def _check_degree(basis, config):
 def discretize(problem, basis, config, boost=1):
     """The run's ``Discretization``, on a rule of ``boost`` times the configured size."""
     _check_degree(basis, config)
-    points = (
-        config.quad_points
-        if config.quad_points is not None
-        else quadrature.default_point_count(basis.degree)
-    )
+    points = config.rule_points(basis.degree)
     rule = quadrature.gauss_legendre(boost * points, basis.lower, basis.upper)
     return assembly.Discretization.build(problem, basis, rule)
 

@@ -5,8 +5,6 @@ and then asserts, so a red criterion is visible both ways.  Criteria are
 independent; order follows the numbering.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from conftest import record_criterion
 from rdgalerkin.assembly import assemble_mass, assemble_stiffness
 from rdgalerkin.basis import BasisSpec, derivative_matrix, value, value_matrix
 from rdgalerkin.cli import main as cli_main
-from rdgalerkin.fdref import compare, fd_solve
+from rdgalerkin.fdref import compare, fd_solve, write_report
 from rdgalerkin.goldens import run_problem_goldens
 from rdgalerkin.linalg import lu_solve
 from rdgalerkin.norms import evaluate, self_convergence
@@ -27,8 +25,6 @@ from rdgalerkin.problems import (
 )
 from rdgalerkin.quadrature import gauss_legendre, integrate
 from rdgalerkin.stepper import SolverConfig, _block, discretize, initial_state, run, step
-
-REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
 
 def _verdict(num, label, ok, detail=""):
@@ -146,7 +142,7 @@ def test_criterion_5_self_convergence_norms():
     )
 
 
-def test_criterion_6_fd_oracle():
+def test_criterion_6_fd_oracle(tmp_path):
     problem = builtin_tp1()
     levels = [
         fd_solve(problem, nx=nx, dt=dt, t_end=1.0)
@@ -159,7 +155,7 @@ def test_criterion_6_fd_oracle():
     factor = e1 / e2
     contraction_ok = factor >= 1.8
 
-    REPORT_DIR.mkdir(exist_ok=True)
+    # the tracked copies under reports/ are written by demos/fd_crosscheck.py
     archived = []
     for name, prob, g_cfg, fd_args in (
         (
@@ -177,17 +173,13 @@ def test_criterion_6_fd_oracle():
     ):
         basis = BasisSpec(prob.lower, prob.upper, 6)
         rep = compare(prob, basis, g_cfg, **fd_args)
-        path = REPORT_DIR / f"fd_discrepancy_{name}.csv"
-        path.write_text(
-            "t,grid_points,L2_M,Linf_M,L2_N,Linf_N\n"
-            f"{rep.t:.9g},{rep.grid_points},{rep.L2_M:.9g},{rep.Linf_M:.9g},"
-            f"{rep.L2_N:.9g},{rep.Linf_N:.9g}\n"
-        )
+        path = tmp_path / f"fd_discrepancy_{name}.csv"
+        write_report(rep, path)
         archived.append(path.exists())
 
     _verdict(
         6, "finite-difference oracle", contraction_ok and all(archived),
-        f"contraction factor {factor:.2f}, reports archived under reports/",
+        f"contraction factor {factor:.2f}, reports written",
     )
 
 

@@ -34,9 +34,9 @@ class TestParseConfig:
     def test_flags_only(self):
         cfg = parse_config(TP1_ARGS + ["--theta", "0.5", "--grid-points", "51"])
         assert cfg.problem_id == "tp1"
-        assert cfg.dt == 0.1
-        assert cfg.t_end == 1.0
-        assert cfg.theta == 0.5
+        assert cfg.solver.dt == 0.1
+        assert cfg.solver.t_end == 1.0
+        assert cfg.solver.theta == 0.5
         assert cfg.grid_points == 51
         assert cfg.report_times == [1.0]
 
@@ -46,7 +46,7 @@ class TestParseConfig:
             {"problem": "tp1", "dt": 0.1, "t_end": 2.0, "degree": 4},
         )
         cfg = parse_config(["--config", path, "--degree", "6"])
-        assert cfg.t_end == 2.0
+        assert cfg.solver.t_end == 2.0
         assert cfg.degree == 6
 
     def test_missing_dt_names_field(self):
@@ -140,6 +140,9 @@ class TestMain:
             (["--dt", "nan"], "dt"),
             (["--convergence-dts", "0"], "convergence_dts"),
             (["--quad-points", "2"], "quad_points"),
+            (["--t-end", "inf"], "t_end"),
+            (["--picard-tol", "nan"], "picard_tol"),
+            (["--theta", "nan"], "theta"),
         ],
     )
     def test_invalid_input_is_config_error(self, tmp_path, capsys, extra, field):
@@ -149,6 +152,31 @@ class TestMain:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith(f"configuration error: {field}:")
+
+    @pytest.mark.parametrize(
+        "config,custom,field",
+        [
+            (5, None, "config"),
+            ({"dt": "abc"}, None, "dt"),
+            ({"dt": [0.1]}, None, "dt"),
+            ({"emit_svg": "false"}, None, "emit_svg"),
+            ({"degree": 6.7}, None, "degree"),
+            ({"problem": "custom"}, {"eps1": None}, "eps1"),
+            ({"problem": "custom"}, {"sign_M": 1.5}, "sign_M"),
+        ],
+    )
+    def test_wrong_typed_value_is_config_error(self, tmp_path, capsys, config, custom, field):
+        out = tmp_path / "out"
+        doc = {"problem": "tp1", "dt": 0.1, "t_end": 1.0, "output_dir": str(out)}
+        if custom is not None:
+            doc["custom_path"] = write_json(tmp_path / "prob.json", dict(CUSTOM_DOC, **custom))
+        doc = dict(doc, **config) if isinstance(config, dict) else config
+        code = main(["--config", write_json(tmp_path / "run.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"configuration error: {field}:")
+        assert not out.exists()
 
     def test_csv_is_byte_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,0 +1,76 @@
+"""Property test of ``parse_config``: every input gives a RunConfig or a ConfigError.
+
+Inputs are flag lists and ``--config`` documents: any JSON value under the
+known keys, unknown keys, and documents that are not objects. Nothing is
+solved, so the examples are cheap.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rdgalerkin.cli import ConfigError, RunConfig, parse_config
+
+KEYS = (
+    "problem", "custom_path", "degree", "dt", "t_end", "theta", "picard_tol",
+    "picard_max", "quad_points", "grid_points", "output_dir", "emit_svg",
+    "convergence_dts", "report_times",
+)
+FLAGS = tuple("--" + k.replace("_", "-") for k in KEYS if k != "custom_path") + ("--custom",)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.1, 0.2, 1.0, 2, 6, "tp1", "custom", "0.5,1", ""])
+    | st.text(max_size=6)
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# a runnable base that the fuzzed keys overwrite, so some examples parse
+BASE = {"problem": "tp1", "dt": 0.1, "t_end": 1.0}
+documents = st.one_of(
+    st.dictionaries(st.sampled_from(KEYS), json_values, max_size=5).map(lambda d: {**BASE, **d}),
+    st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), json_values, max_size=5),
+    json_values.filter(lambda v: not isinstance(v, dict)),
+)
+flag_values = st.sampled_from(["0.1", "1", "2", "0", "-1", "nan", "inf", "tp1", "0.5,1"]) | st.text(max_size=6)
+# "--name=value" keeps a value that starts with "-" attached to its flag; no
+# token can abbreviate --help, which prints and exits 0 by design
+flags = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(FLAGS), flag_values).map(lambda p: f"{p[0]}={p[1]}"),
+        st.sampled_from(["--emit-svg", "--bogus", "--dt", "--", "stray"]),
+    ),
+    max_size=6,
+)
+
+
+def _parses_or_config_error(argv):
+    try:
+        cfg = parse_config(argv)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=flags)
+def test_flag_lists(argv):
+    _parses_or_config_error(["--problem", "tp1", "--dt", "0.1", "--t-end", "1"] + argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents, argv=flags)
+def test_config_documents(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(doc))
+        _parses_or_config_error(["--config", str(path)] + argv)

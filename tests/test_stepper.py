@@ -54,10 +54,16 @@ class TestSolverConfig:
             dict(dt=0.1, t_end=1.0, theta=1.5),
             dict(dt=0.1, t_end=1.0, picard_max=0),
             dict(dt=0.1, t_end=1.0, picard_tol=0.0),
+            dict(dt=float("inf"), t_end=1.0),
+            dict(dt=0.1, t_end=float("inf")),
+            dict(dt=0.1, t_end=1.0, picard_tol=float("nan")),
+            dict(dt=0.1, t_end=1.0, theta=float("nan")),
+            dict(dt=1e10, t_end=1.0),
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message starts with the name of the offending field
+        with pytest.raises(ValueError, match=r"^(dt|t_end|theta|picard_tol|picard_max): "):
             SolverConfig(**kwargs)
 
     def test_rule_sized_from_basis_degree(self):
