@@ -1,7 +1,7 @@
 """Command-line front end: problem selection, solver runs, CSV/SVG emission.
 
-Exit codes: 0 success, 2 configuration error, 3 Picard non-convergence,
-4 linear-solver failure, 5 I/O failure.
+Exit codes: 0 success, 2 configuration error (a run too large for memory
+included), 3 Picard non-convergence, 4 linear-solver failure, 5 I/O failure.
 
 Outputs (all deterministic; identical configs yield byte-identical files):
   solution.csv   header ``x,t,M,N``, one row per sample, 9 significant digits
@@ -323,26 +323,25 @@ def run_and_emit(cfg):
 
 def main(argv=None):
     try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return run_and_emit(parse_config(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:
         # argparse exits 0 after printing --help
         return EXIT_CONFIG if err.code else EXIT_OK
-    try:
-        return run_and_emit(cfg)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except PicardConvergenceError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_PICARD
     except SingularMatrixError as err:
         print(f"linear-solver error: {err}", file=sys.stderr)
         return EXIT_LINEAR
-    except ValueError as err:
+    except ValueError as err:  # ConfigError included
         print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print(
+            "configuration error: the run does not fit in memory; "
+            "lower grid_points, degree or quad_points",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -5,7 +5,9 @@ nodal second-order central differences in space, backward Euler in time,
 with the same lag-one-factor Picard linearization of the reaction term.
 Agreement between the two solvers is therefore evidence, not tautology.
 This solver exists to adjudicate accuracy; it shares no assembly code with
-the spectral path and is not built for speed.
+the spectral path and is not built for speed.  The pinned boundary values
+are not unknowns: each implicit step solves a banded system for the
+interior nodes only.
 """
 
 from dataclasses import dataclass
@@ -44,8 +46,13 @@ class DiscrepancyReport:
 def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     """March the nodal system to t_end with backward Euler + Picard.
 
-    Unknowns are interleaved (M_0, N_0, M_1, N_1, ...) so the coupled
-    implicit system is pentadiagonal and solvable with a banded routine.
+    The unknowns are the 2(nx - 2) interior values, interleaved
+    (M_1, N_1, M_2, N_2, ...) so the coupled implicit system is
+    pentadiagonal and solvable with a banded routine.  The pinned boundary
+    values enter the first and last interior rows through a constant rhs
+    term and are put back around the interior values at the end.  The
+    diagonal and neighbour bands are built once per call; each Picard pass
+    writes only the two M-N coupling bands and the rhs.
     """
     if nx < 3:
         raise ValueError("nx must be >= 3")
@@ -53,95 +60,63 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
 
     x = np.linspace(problem.lower, problem.upper, nx)
     dx = x[1] - x[0]
-    M = problem.initial_M(x).astype(float).copy()
-    N = problem.initial_N(x).astype(float).copy()
-    M[0] = M[-1] = problem.theta0
-    N[0] = N[-1] = problem.gamma0
+    M = problem.initial_M(x).astype(float)[1:-1]
+    N = problem.initial_N(x).astype(float)[1:-1]
 
     alpha, beta = problem.reaction.alpha, problem.reaction.beta
     r1 = problem.eps1 / dx ** 2
     r2 = problem.eps2 / dx ** 2
-    n_unknowns = 2 * nx
+    # banded layout for solve_banded((2, 2), ...): ab[2 + i - j, j] = A[i, j],
+    # so rows 0 and 4 hold the same-species neighbours (j = i +- 2) and rows
+    # 1 and 3 the coupling of M_i and N_i at one node
+    ab = np.zeros((5, 2 * (nx - 2)))
+    ab[2, 0::2] = 1.0 / dt + problem.decay_M + 2.0 * r1
+    ab[2, 1::2] = 1.0 / dt + problem.decay_N + 2.0 * r2
+    ab[0, 2::2] = ab[4, :-2:2] = -r1
+    ab[0, 3::2] = ab[4, 1:-2:2] = -r2
+    boundary = np.zeros(2 * (nx - 2))
+    boundary[:2] += (r1 * problem.theta0, r2 * problem.gamma0)
+    boundary[-2:] += (r1 * problem.theta0, r2 * problem.gamma0)
+    rhs = np.empty(2 * (nx - 2))
 
     for _ in range(steps):
-        M_old, N_old = M, N
-        M_it, N_it = M.copy(), N.copy()
-        converged = False
-        for it in range(1, picard_max + 1):
+        M_known = M / dt + problem.source_M
+        N_known = N / dt + problem.source_N
+        M_it, N_it = M, N
+        for _ in range(picard_max):
             # Lag-one-factor split: in the M-equation f ~ gamma_c + omega*N_new
             # with omega = M~^a N~^(b-1); degenerate exponents lag f entirely.
             if beta == 0:
-                omega = np.zeros(nx)
-                gamma_c = M_it ** alpha
+                omega, gamma_c = 0.0, M_it ** alpha
             else:
-                omega = M_it ** alpha * N_it ** (beta - 1)
-                gamma_c = np.zeros(nx)
+                omega, gamma_c = M_it ** alpha * N_it ** (beta - 1), 0.0
             if alpha == 0:
-                phi = np.zeros(nx)
-                pi_c = N_it ** beta
+                phi, pi_c = 0.0, N_it ** beta
             else:
-                phi = M_it ** (alpha - 1) * N_it ** beta
-                pi_c = np.zeros(nx)
+                phi, pi_c = M_it ** (alpha - 1) * N_it ** beta, 0.0
+            ab[1, 1::2] = -problem.sign_M * omega    # N_i in the M_i row
+            ab[3, 0::2] = -problem.sign_N * phi      # M_i in the N_i row
+            rhs[0::2] = M_known + problem.sign_M * gamma_c
+            rhs[1::2] = N_known + problem.sign_N * pi_c
 
-            ab = np.zeros((5, n_unknowns))
-            rhs = np.empty(n_unknowns)
-            # banded row layout for solve_banded((2, 2), ...):
-            # ab[0, j] = A[j-2, j], ab[1, j] = A[j-1, j], ab[2, j] = A[j, j],
-            # ab[3, j] = A[j+1, j], ab[4, j] = A[j+2, j]
-            idx_M = 2 * np.arange(1, nx - 1)
-            idx_N = idx_M + 1
-            # M rows
-            ab[2, idx_M] = 1.0 / dt + problem.decay_M + 2.0 * r1
-            ab[0, idx_M + 2] = -r1        # M_{i+1}
-            ab[4, idx_M - 2] = -r1        # M_{i-1}
-            ab[1, idx_N] = -problem.sign_M * omega[1:-1]   # N_i in M row
-            rhs[idx_M] = (
-                M_old[1:-1] / dt
-                + problem.source_M
-                + problem.sign_M * gamma_c[1:-1]
-            )
-            # N rows
-            ab[2, idx_N] = 1.0 / dt + problem.decay_N + 2.0 * r2
-            ab[0, idx_N + 2] = -r2        # N_{i+1}
-            ab[4, idx_N - 2] = -r2        # N_{i-1}
-            ab[3, idx_M] = -problem.sign_N * phi[1:-1]     # M_i in N row
-            rhs[idx_N] = (
-                N_old[1:-1] / dt
-                + problem.source_N
-                + problem.sign_N * pi_c[1:-1]
-            )
-            # pinned boundary rows are identity rows; their known values move
-            # into the rhs of the neighbouring interior rows and their columns
-            # are zeroed, so the pivoted solve returns them exactly
-            ab[4, :2] = 0.0                    # M_0, N_0 in rows 2, 3
-            ab[0, n_unknowns - 2:] = 0.0       # M_{nx-1}, N_{nx-1} in rows 2nx-4, 2nx-3
-            rhs[2] += r1 * problem.theta0
-            rhs[3] += r2 * problem.gamma0
-            rhs[n_unknowns - 4] += r1 * problem.theta0
-            rhs[n_unknowns - 3] += r2 * problem.gamma0
-            for j, val in (
-                (0, problem.theta0),
-                (1, problem.gamma0),
-                (n_unknowns - 2, problem.theta0),
-                (n_unknowns - 1, problem.gamma0),
-            ):
-                ab[2, j] = 1.0
-                rhs[j] = val
-
-            sol = solve_banded((2, 2), ab, rhs)
+            sol = solve_banded((2, 2), ab, rhs + boundary)
             M_new, N_new = sol[0::2], sol[1::2]
             correction = max(
                 np.abs(M_new - M_it).max(), np.abs(N_new - N_it).max()
             )
             M_it, N_it = M_new, N_new
             if correction < picard_tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise PicardConvergenceError(picard_max, correction)
         M, N = M_it, N_it
 
-    return FDGrid(nx=nx, dx=float(dx), x=x, M_values=M, N_values=N, t=steps * dt)
+    return FDGrid(
+        nx=nx, dx=float(dx), x=x,
+        M_values=np.concatenate([[problem.theta0], M, [problem.theta0]]),
+        N_values=np.concatenate([[problem.gamma0], N, [problem.gamma0]]),
+        t=steps * dt,
+    )
 
 
 def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=101):

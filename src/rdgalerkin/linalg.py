@@ -7,7 +7,6 @@ warning, never an error.
 """
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,41 +29,26 @@ class SingularMatrixError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """One assembled coupled linear system A x = b."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        A, b = self.matrix, self.rhs
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {A.shape}")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"rhs length {b.shape} does not match matrix {A.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite entries in linear system")
-
-
-def lu_solve(matrix, rhs=None):
+def lu_solve(matrix, rhs):
     """Solve A x = b by row-pivoted LU with an explicit singularity check.
 
-    Accepts either a ``BlockSystem`` or an explicit (matrix, rhs) pair.
+    A must be square, b of matching length, and both finite.
     """
-    if isinstance(matrix, BlockSystem):
-        matrix, rhs = matrix.matrix, matrix.rhs
-    if rhs is None:
-        raise TypeError("rhs required when matrix is not a BlockSystem")
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if b.shape != (A.shape[0],):
+        raise ValueError(f"rhs length {b.shape} does not match matrix {A.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite entries in linear system")
+    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
     floor = _PIVOT_REL_TOL * max(np.abs(A).max(), np.finfo(float).tiny)
     k = int(np.argmin(pivots))
     if pivots[k] < floor:
         raise SingularMatrixError(k, pivots[k])
-    return scipy.linalg.lu_solve((lu, piv), b)
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def condition_estimate(matrix):

@@ -11,7 +11,10 @@ state.  th = 1 is plain backward difference (the default); th = 0.5 is the
 trapezoidal member of the family and is genuinely second order in time
 because the nonlinear blocks are weighted between the two time levels.
 C, K1, K4 and the basis tables are iterate-independent and built once per
-run, in an ``assembly.Discretization``.
+run, in an ``assembly.Discretization``.  Once per step ``_step_system``
+forms the diagonal blocks C/dt + th K1 and C/dt + th K4, the terms
+C/dt c_prev and C/dt d_prev and, at th < 1, the old-level residual; each
+Picard iterate then assembles only K2, K3, F1 and F2 and solves once.
 """
 
 import math
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import assembly, quadrature
-from .linalg import BlockSystem, lu_solve
+from .linalg import lu_solve
 from .problems import picard_split
 
 _DIVERGENCE_GUARD = 1e6
@@ -142,25 +145,36 @@ def _nonlinear_blocks(problem, disc, c_at, d_at):
     return K2, K3, F1, F2
 
 
-def _block(problem, disc, config, c_prev, d_prev, c_it, d_it, old_blocks):
-    """Assemble the coupled theta-weighted system at one Picard iterate."""
-    K2, K3, F1, F2 = _nonlinear_blocks(problem, disc, c_it, d_it)
+def _step_system(problem, disc, config, c_prev, d_prev):
+    """The coupled theta-weighted system of one step, as a function of the iterate.
 
-    n = disc.C.shape[0]
-    th = config.theta
+    The diagonal blocks C/dt + th K1 and C/dt + th K4, the vector C/dt times
+    the previous level and, at th < 1, the old-level residual are formed here
+    once per step.  The returned ``system(c_it, d_it)`` writes only th K2,
+    th K3 and th F at the Picard iterate and returns (A, b); A is the same
+    array on every call, rewritten in place.
+    """
+    n, th = disc.C.shape[0], config.theta
     Cdt = disc.C / config.dt
     A = np.zeros((2 * n, 2 * n))
     A[:n, :n] = Cdt + th * disc.K1
-    A[:n, n:] = th * K2
-    A[n:, :n] = th * K3
     A[n:, n:] = Cdt + th * disc.K4
-    rhs_c = Cdt @ c_prev + th * F1
-    rhs_d = Cdt @ d_prev + th * F2
+    lagged = np.concatenate([Cdt @ c_prev, Cdt @ d_prev])
+    old = 0.0
     if th < 1.0:
-        K2o, K3o, F1o, F2o = old_blocks
-        rhs_c -= (1 - th) * (disc.K1 @ c_prev + K2o @ d_prev - F1o)
-        rhs_d -= (1 - th) * (K3o @ c_prev + disc.K4 @ d_prev - F2o)
-    return BlockSystem(matrix=A, rhs=np.concatenate([rhs_c, rhs_d]))
+        K2, K3, F1, F2 = _nonlinear_blocks(problem, disc, c_prev, d_prev)
+        old = (1 - th) * np.concatenate([
+            disc.K1 @ c_prev + K2 @ d_prev - F1,
+            K3 @ c_prev + disc.K4 @ d_prev - F2,
+        ])
+
+    def system(c_it, d_it):
+        K2, K3, F1, F2 = _nonlinear_blocks(problem, disc, c_it, d_it)
+        A[:n, n:] = th * K2
+        A[n:, :n] = th * K3
+        return A, (lagged + th * np.concatenate([F1, F2])) - old
+
+    return system
 
 
 def step(state, problem, basis, config, disc=None):
@@ -175,16 +189,10 @@ def step(state, problem, basis, config, disc=None):
     if state.c.shape != (n,) or state.d.shape != (n,):
         raise ValueError("state inconsistent with basis degree")
 
-    c_prev, d_prev = state.c, state.d
-    old_blocks = (
-        _nonlinear_blocks(problem, disc, c_prev, d_prev)
-        if config.theta < 1.0
-        else None
-    )
-    c_it, d_it = c_prev.copy(), d_prev.copy()
+    system = _step_system(problem, disc, config, state.c, state.d)
+    c_it, d_it = state.c, state.d
     for k in range(1, config.picard_max + 1):
-        system = _block(problem, disc, config, c_prev, d_prev, c_it, d_it, old_blocks)
-        sol = lu_solve(system)
+        sol = lu_solve(*system(c_it, d_it))
         c_new, d_new = sol[:n], sol[n:]
         correction = max(
             np.abs(c_new - c_it).max(initial=0.0),

@@ -178,6 +178,22 @@ class TestMain:
         assert err.startswith(f"configuration error: {field}:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("callee", ["run", "sample_grid"])
+    def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch, callee):
+        # a stand-in raises, so nothing large is allocated: on a host that
+        # overcommits memory a real oversized array kills the process instead
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"rdgalerkin.cli.{callee}", too_large)
+        code = main(TP1_ARGS + ["--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("configuration error:")
+        for field in ("grid_points", "degree", "quad_points"):
+            assert field in err
+
     def test_csv_is_byte_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(TP1_ARGS + ["--output-dir", str(out1)]) == 0

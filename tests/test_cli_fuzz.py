@@ -1,8 +1,10 @@
-"""Property test of ``parse_config``: every input gives a RunConfig or a ConfigError.
+"""Property tests of the CLI: every input gives a RunConfig or a ConfigError
+from ``parse_config`` and a documented exit code from ``main``.
 
-Inputs are flag lists and ``--config`` documents: any JSON value under the
-known keys, unknown keys, and documents that are not objects. Nothing is
-solved, so the examples are cheap.
+``parse_config`` gets flag lists and ``--config`` documents: any JSON value
+under the known keys, unknown keys, and documents that are not objects;
+nothing is solved, so the examples are cheap. ``main`` gets small runs (at
+most 3 steps, degree <= 4) whose numeric settings may be anything.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdgalerkin.cli import ConfigError, RunConfig, parse_config
+from rdgalerkin.cli import ConfigError, RunConfig, main, parse_config
 
 KEYS = (
     "problem", "custom_path", "degree", "dt", "t_end", "theta", "picard_tol",
@@ -74,3 +76,45 @@ def test_config_documents(doc, argv):
         path = Path(tmp) / "run.json"
         path.write_text(json.dumps(doc))
         _parses_or_config_error(["--config", str(path)] + argv)
+
+
+# --- main with small solves: every input ends in a documented exit code ----
+
+def value(usual, anything):
+    """Half the draws from usual (so many examples run), half from anything."""
+    return st.sampled_from(usual) | anything
+
+
+@st.composite
+def small_runs(draw):
+    """Flags of a run of at most 3 steps, degree <= 4 and <= 50 output points;
+    theta, dt, picard_tol and picard_max take any value, nan and inf included."""
+    dt = draw(value([0.05, 0.1, 0.5], st.floats()))
+    steps = draw(st.integers(min_value=0, max_value=3))
+    argv = [
+        "--problem", draw(st.sampled_from(["tp1", "grayscott"])),
+        f"--dt={dt!r}", f"--t-end={steps * dt!r}",
+        f"--degree={draw(value([4], st.integers(min_value=-1, max_value=4)))}",
+        f"--grid-points={draw(value([11], st.integers(min_value=-1, max_value=50)))}",
+    ]
+    optional = {
+        "--theta": value([0.5, 1.0], st.floats()).map(repr),
+        "--picard-tol": value([1e-10], st.floats()).map(repr),
+        "--picard-max": value(
+            ["50"], st.integers(min_value=-5, max_value=60).map(str) | st.sampled_from(["nan", "inf"])
+        ),
+        "--quad-points": value(["12"], st.integers(min_value=-1, max_value=12).map(str)),
+        "--convergence-dts": st.just(f"{2 * dt!r},{dt!r}"),
+    }
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv.append(f"{flag}={draw(optional[flag])}")
+    if draw(st.booleans()):
+        argv.append("--emit-svg")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=small_runs())
+def test_main_exits_with_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(argv + ["--output-dir", tmp]) in (0, 2, 3, 4, 5)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from rdgalerkin.linalg import (
-    BlockSystem,
-    SingularMatrixError,
-    condition_estimate,
-    lu_solve,
-)
+from rdgalerkin.linalg import SingularMatrixError, condition_estimate, lu_solve
 
 
 class TestLuSolve:
@@ -28,14 +23,6 @@ class TestLuSolve:
         resid = np.abs(A @ x - b).max()
         assert resid <= 1e-9 * (1.0 + np.abs(b).max())
 
-    def test_block_system_argument(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        b = rng.standard_normal(6)
-        x_pair = lu_solve(A, b)
-        x_block = lu_solve(BlockSystem(matrix=A, rhs=b))
-        assert np.array_equal(x_pair, x_block)
-
     def test_missing_rhs_raises(self):
         with pytest.raises(TypeError):
             lu_solve(np.eye(2))
@@ -54,6 +41,20 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError):
             lu_solve(A, np.array([1.0, 0.0]))
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            lu_solve(np.ones((2, 3)), np.ones(2))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            lu_solve(np.eye(3), np.ones(2))
+
+    def test_rejects_nan(self):
+        A = np.eye(2)
+        A[0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_solve(A, np.ones(2))
+
 
 class TestFactorizationIdentity:
     def test_palu(self):
@@ -64,22 +65,6 @@ class TestFactorizationIdentity:
         A = rng.standard_normal((9, 9))
         P, L, U = scipy.linalg.lu(A)
         assert np.abs(P @ L @ U - A).max() <= 1e-10 * np.abs(A).max()
-
-
-class TestBlockSystem:
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            BlockSystem(matrix=np.ones((2, 3)), rhs=np.ones(2))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            BlockSystem(matrix=np.eye(3), rhs=np.ones(2))
-
-    def test_rejects_nan(self):
-        A = np.eye(2)
-        A[0, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            BlockSystem(matrix=A, rhs=np.ones(2))
 
 
 class TestConditionEstimate:

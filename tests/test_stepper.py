@@ -8,7 +8,7 @@ from rdgalerkin.stepper import (
     CoefficientState,
     PicardConvergenceError,
     SolverConfig,
-    _block,
+    _step_system,
     discretize,
     initial_state,
     run,
@@ -131,10 +131,10 @@ class TestSingleStep:
         disc = discretize(problem, basis, config)
         s0 = initial_state(problem, basis, config)
         s1 = step(s0, problem, basis, config, disc=disc)
-        system = _block(problem, disc, config, s0.c, s0.d, s1.c, s1.d, None)
+        A, rhs = _step_system(problem, disc, config, s0.c, s0.d)(s1.c, s1.d)
         x = np.concatenate([s1.c, s1.d])
-        resid = np.abs(system.matrix @ x - system.rhs).max()
-        assert resid <= 1e-8 * (1.0 + np.abs(system.rhs).max())
+        resid = np.abs(A @ x - rhs).max()
+        assert resid <= 1e-8 * (1.0 + np.abs(rhs).max())
 
     def test_state_shape_mismatch(self):
         problem = builtin_tp1()
