@@ -81,7 +81,7 @@ def test_config_documents(doc, argv):
 # --- main with small solves: every input ends in a documented exit code ----
 
 def value(usual, anything):
-    """Half the draws from usual (so many examples run), half from anything."""
+    """A value from usual, so that many examples run, or from anything."""
     return st.sampled_from(usual) | anything
 
 
