@@ -31,32 +31,36 @@ class Discretization:
     """The iterate-independent arrays of one run, built once from (problem, basis, rule).
 
     ``B`` and ``dB`` hold the basis values and derivatives at the rule's
-    nodes, shape (size, point_count); ``b_int`` the integrals of the
-    members; ``C`` the mass matrix and ``K1`` / ``K4`` the stiffness blocks
-    of the M and N equations.
+    nodes, shape (size, point_count); ``C`` the mass matrix and ``K1`` /
+    ``K4`` the stiffness blocks of the M and N equations; ``F1_const`` /
+    ``F2_const`` the iterate-independent parts
+    (source - decay * boundary value) * int(B_i) of the two load vectors.
     """
 
     rule: QuadratureRule
     B: np.ndarray
     dB: np.ndarray
-    b_int: np.ndarray
     C: np.ndarray
     K1: np.ndarray
     K4: np.ndarray
+    F1_const: np.ndarray
+    F2_const: np.ndarray
 
     @classmethod
     def build(cls, problem, basis, rule):
         B = basis_mod.value_matrix(basis, rule.nodes)
         dB = basis_mod.derivative_matrix(basis, rule.nodes)
         w = rule.weights
+        b_int = B @ w
         return cls(
             rule=rule,
             B=B,
             dB=dB,
-            b_int=B @ w,
             C=assemble_mass(B, w),
             K1=assemble_stiffness(B, dB, w, problem.eps1, problem.decay_M),
             K4=assemble_stiffness(B, dB, w, problem.eps2, problem.decay_N),
+            F1_const=(problem.source_M - problem.decay_M * problem.theta0) * b_int,
+            F2_const=(problem.source_N - problem.decay_N * problem.gamma0) * b_int,
         )
 
 
@@ -76,11 +80,13 @@ def assemble_coupling(B, weights, weight):
 
     ``weight`` must already carry the equation's reaction sign, i.e. it
     is -sign_M * omega for the M-equation block and -sign_N * phi for the
-    N-equation block.
+    N-equation block.  A stacked weight of shape (k, point_count) gives the
+    k blocks, shape (k, size, size), in one product; each equals the block
+    of its own weight bit for bit.
     """
     w = weights * weight
-    K = (B * w) @ B.T
-    return 0.5 * (K + K.T)
+    K = (B * w[..., None, :]) @ B.T
+    return 0.5 * (K + K.swapaxes(-1, -2))
 
 
 def assemble_loads(problem, disc, split):
@@ -88,12 +94,13 @@ def assemble_loads(problem, disc, split):
 
     F1 = sign_M * int(Gamma B_i) + (source_M - decay_M * theta0) * int(B_i)
     F2 = sign_N * int(Pi B_i)    + (source_N - decay_N * gamma0) * int(B_i)
+
+    The second terms do not change per iterate: they are ``disc.F1_const``
+    and ``disc.F2_const``.
     """
     B, w = disc.B, disc.rule.weights
-    F1 = problem.sign_M * (B @ (w * split.gamma))
-    F1 = F1 + (problem.source_M - problem.decay_M * problem.theta0) * disc.b_int
-    F2 = problem.sign_N * (B @ (w * split.pi))
-    F2 = F2 + (problem.source_N - problem.decay_N * problem.gamma0) * disc.b_int
+    F1 = problem.sign_M * (B @ (w * split.gamma)) + disc.F1_const
+    F2 = problem.sign_N * (B @ (w * split.pi)) + disc.F2_const
     return F1, F2
 
 

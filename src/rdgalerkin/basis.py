@@ -29,9 +29,9 @@ class BasisSpec:
 
     def __post_init__(self):
         if not self.upper > self.lower:
-            raise ValueError(f"upper ({self.upper}) must exceed lower ({self.lower})")
+            raise ValueError(f"upper: must exceed lower ({self.lower}), got {self.upper}")
         if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+            raise ValueError(f"degree: must be >= 0, got {self.degree}")
 
     @property
     def size(self):

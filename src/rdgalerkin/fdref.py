@@ -10,6 +10,7 @@ are not unknowns: each implicit step solves a banded system for the
 interior nodes only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     """
     if nx < 3:
         raise ValueError("nx must be >= 3")
+    if picard_max < 1:
+        raise ValueError(f"picard_max: must be at least 1, got {picard_max}")
+    if not (math.isfinite(picard_tol) and picard_tol > 0):
+        raise ValueError(f"picard_tol: must be finite and positive, got {picard_tol}")
     steps = whole_steps(t_end, dt, "t_end")
 
     x = np.linspace(problem.lower, problem.upper, nx)

@@ -7,6 +7,7 @@ warning, never an error.
 """
 
 import logging
+import math
 
 import numpy as np
 import scipy.linalg
@@ -40,11 +41,14 @@ def lu_solve(matrix, rhs):
         raise ValueError(f"matrix must be square, got shape {A.shape}")
     if b.shape != (A.shape[0],):
         raise ValueError(f"rhs length {b.shape} does not match matrix {A.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    # a NaN or inf in A makes its largest magnitude, which also scales the
+    # pivot floor, non-finite
+    scale = np.abs(A).max()
+    if not (math.isfinite(scale) and np.isfinite(b).all()):
         raise ValueError("non-finite entries in linear system")
     lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    floor = _PIVOT_REL_TOL * max(np.abs(A).max(), np.finfo(float).tiny)
+    floor = _PIVOT_REL_TOL * max(scale, np.finfo(float).tiny)
     k = int(np.argmin(pivots))
     if pivots[k] < floor:
         raise SingularMatrixError(k, pivots[k])

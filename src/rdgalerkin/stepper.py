@@ -10,11 +10,18 @@ iterate and the primed blocks at the previous time level's converged
 state.  th = 1 is plain backward difference (the default); th = 0.5 is the
 trapezoidal member of the family and is genuinely second order in time
 because the nonlinear blocks are weighted between the two time levels.
-C, K1, K4 and the basis tables are iterate-independent and built once per
-run, in an ``assembly.Discretization``.  Once per step ``_step_system``
-forms the diagonal blocks C/dt + th K1 and C/dt + th K4, the terms
-C/dt c_prev and C/dt d_prev and, at th < 1, the old-level residual; each
-Picard iterate then assembles only K2, K3, F1 and F2 and solves once.
+The work is split by how often it changes:
+
+* per run: ``discretize`` builds the ``assembly.Discretization`` (the
+  basis tables at the nodes of a cached quadrature rule, C, K1, K4 and the
+  constant load parts), and ``initial_state`` projects the initial data on
+  a boosted rule;
+* per step: ``_step_system`` forms the diagonal blocks C/dt + th K1 and
+  C/dt + th K4, the terms C/dt c_prev and C/dt d_prev and, at th < 1, the
+  old-level residual;
+* per Picard iterate: one ``picard_split``, K2 and K3 in one stacked
+  product, F1 and F2, one ``lu_solve`` of the 2(m+1)-square system, and the
+  correction as the largest change of the stacked coefficient vector.
 """
 
 import math
@@ -73,8 +80,9 @@ class SolverConfig:
     quad_points: Optional[int] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt: must be finite and positive, got {self.dt}")
+        # a subnormal dt is positive but overflows C/dt
+        if not (math.isfinite(self.dt) and self.dt > 0 and math.isfinite(1.0 / self.dt)):
+            raise ValueError(f"dt: must be finite and positive with a finite 1/dt, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end: must be finite and non-negative, got {self.t_end}")
         if not 0.0 < self.theta <= 1.0:
@@ -138,9 +146,10 @@ def discretize(problem, basis, config, boost=1):
 def _nonlinear_blocks(problem, disc, c_at, d_at):
     """Iterate-dependent blocks (K2, K3, F1, F2) at one coefficient state."""
     split = picard_split(problem, disc.B, c_at, d_at)
-    w = disc.rule.weights
-    K2 = assembly.assemble_coupling(disc.B, w, -problem.sign_M * split.omega)
-    K3 = assembly.assemble_coupling(disc.B, w, -problem.sign_N * split.phi)
+    K2, K3 = assembly.assemble_coupling(
+        disc.B, disc.rule.weights,
+        np.array([-problem.sign_M * split.omega, -problem.sign_N * split.phi]),
+    )
     F1, F2 = assembly.assemble_loads(problem, disc, split)
     return K2, K3, F1, F2
 
@@ -191,14 +200,11 @@ def step(state, problem, basis, config, disc=None):
 
     system = _step_system(problem, disc, config, state.c, state.d)
     c_it, d_it = state.c, state.d
+    x_it = np.concatenate([c_it, d_it])
     for k in range(1, config.picard_max + 1):
         sol = lu_solve(*system(c_it, d_it))
-        c_new, d_new = sol[:n], sol[n:]
-        correction = max(
-            np.abs(c_new - c_it).max(initial=0.0),
-            np.abs(d_new - d_it).max(initial=0.0),
-        )
-        c_it, d_it = c_new, d_new
+        correction = np.abs(sol - x_it).max()
+        x_it, c_it, d_it = sol, sol[:n], sol[n:]
         if correction < config.picard_tol:
             return CoefficientState(
                 c=c_it, d=d_it, t=state.t + config.dt, picard_iters_last=k

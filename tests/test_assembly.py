@@ -84,6 +84,21 @@ class TestCoupling:
         C = assemble_mass(B, w)
         assert np.abs(K - C).max() <= 1e-12 * np.abs(C).max()
 
+    @pytest.mark.parametrize("make_problem", [builtin_tp1, builtin_grayscott])
+    @pytest.mark.parametrize("degree", [2, 6, 10, 14])
+    def test_stacked_weights_match_single_calls(self, make_problem, degree):
+        # both coupling blocks of an iterate in one product, each bit for bit
+        problem = make_problem()
+        spec = BasisSpec(problem.lower, problem.upper, degree)
+        B, _, w = tables(spec, rule_for(spec))
+        rng = np.random.default_rng(degree)
+        split = picard_split(problem, B, *(0.1 * rng.standard_normal((2, spec.size))))
+        weights = np.array([-problem.sign_M * split.omega, -problem.sign_N * split.phi])
+        stacked = assemble_coupling(B, w, weights)
+        assert stacked.shape == (2, spec.size, spec.size)
+        for K, weight in zip(stacked, weights):
+            assert np.array_equal(K, assemble_coupling(B, w, weight))
+
 
 class TestLoads:
     def test_grayscott_zero_iterate_loads_vanish(self):

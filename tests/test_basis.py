@@ -102,3 +102,12 @@ def test_matrix_helpers_shapes():
     x = np.linspace(-50, 50, 13)
     assert value_matrix(WIDE, x).shape == (7, 13)
     assert derivative_matrix(WIDE, x).shape == (7, 13)
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [((0.0, 1.0, -1), "degree"), ((1.0, 1.0, 2), "upper"), ((2.0, 1.0, 2), "upper")],
+)
+def test_invalid_spec_message_names_the_field(args, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        BasisSpec(*args)

@@ -143,6 +143,8 @@ class TestMain:
             (["--t-end", "inf"], "t_end"),
             (["--picard-tol", "nan"], "picard_tol"),
             (["--theta", "nan"], "theta"),
+            (["--dt", "5e-324", "--t-end", "1e-323"], "dt"),
+            (["--degree", "-1"], "degree"),
         ],
     )
     def test_invalid_input_is_config_error(self, tmp_path, capsys, extra, field):

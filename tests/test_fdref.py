@@ -79,6 +79,21 @@ class TestFdSolve:
         with pytest.raises(ValueError, match="integer multiple"):
             fd_solve(problem, nx=11, dt=0.3, t_end=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            (dict(picard_max=0), "picard_max"),
+            (dict(picard_max=-3), "picard_max"),
+            (dict(picard_tol=0.0), "picard_tol"),
+            (dict(picard_tol=-1e-10), "picard_tol"),
+            (dict(picard_tol=float("nan")), "picard_tol"),
+            (dict(picard_tol=float("inf")), "picard_tol"),
+        ],
+    )
+    def test_invalid_picard_settings(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            fd_solve(builtin_tp1(), nx=11, dt=0.1, t_end=0.2, **kwargs)
+
 
 class TestCompare:
     def test_report_on_equilibrium_is_zero(self):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from rdgalerkin.basis import BasisSpec
 from rdgalerkin.linalg import SingularMatrixError, condition_estimate, lu_solve
+from rdgalerkin.problems import builtin_tp1
+from rdgalerkin.stepper import SolverConfig, _step_system, discretize, initial_state
+
+
+def scipy_lu_solve(A, b):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
 
 
 class TestLuSolve:
@@ -54,6 +62,42 @@ class TestLuSolve:
         A[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             lu_solve(A, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        b = np.ones(2)
+        b[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_solve(np.eye(2), b)
+
+    def test_rejects_inf_in_matrix(self):
+        A = np.eye(2)
+        A[1, 0] = -np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            lu_solve(A, np.ones(2))
+
+
+class TestMatchesScipyLu:
+    """lu_solve gives bit for bit what scipy's lu_factor / lu_solve give."""
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 31):
+            for _ in range(3):
+                A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-4, 4, (n, 1))
+                b = rng.standard_normal(n)
+                assert np.array_equal(lu_solve(A, b), scipy_lu_solve(A, b))
+
+    def test_assembled_tp1_system(self):
+        # the 22 x 22 trapezoidal system of tp1 at m = 10, first step
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 10)
+        config = SolverConfig(dt=0.05, t_end=0.05, theta=0.5)
+        s0 = initial_state(problem, basis, config)
+        disc = discretize(problem, basis, config)
+        A, b = _step_system(problem, disc, config, s0.c, s0.d)(s0.c, s0.d)
+        assert A.shape == (22, 22)
+        assert np.array_equal(lu_solve(A, b), scipy_lu_solve(A, b))
 
 
 class TestFactorizationIdentity:

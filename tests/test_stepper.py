@@ -59,6 +59,7 @@ class TestSolverConfig:
             dict(dt=0.1, t_end=1.0, picard_tol=float("nan")),
             dict(dt=0.1, t_end=1.0, theta=float("nan")),
             dict(dt=1e10, t_end=1.0),
+            dict(dt=5e-324, t_end=1e-323),
         ],
     )
     def test_invalid_configs(self, kwargs):
