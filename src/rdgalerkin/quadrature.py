@@ -6,13 +6,8 @@ monomials in them), so a fixed rule chosen generously enough makes every
 assembled entry exact up to rounding.  ``default_point_count`` provides
 that choice; callers with non-polynomial data (projection of sin^100
 initial profiles) should boost the count themselves.
-
-A process computes each rule once: ``gauss_legendre`` caches the rule of
-each (point_count, lower, upper) and returns the same ``QuadratureRule``
-on every call, with read-only ``nodes`` and ``weights``.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,30 +34,17 @@ def default_point_count(degree):
 
 
 def gauss_legendre(point_count, lower, upper):
-    """Standard Gauss-Legendre rule affinely mapped to [lower, upper].
-
-    Cached per process: equal arguments return the same rule, whose arrays
-    are read-only.
-    """
+    """Standard Gauss-Legendre rule affinely mapped to [lower, upper]."""
     if point_count < 1:
         raise ValueError(f"point_count must be >= 1, got {point_count}")
     if not upper > lower:
         raise ValueError(f"upper ({upper}) must exceed lower ({lower})")
-    return _cached_rule(int(point_count), float(lower), float(upper))
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_rule(point_count, lower, upper):
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(point_count)
     half = 0.5 * (upper - lower)
     mid = 0.5 * (upper + lower)
-    nodes = mid + half * ref_nodes
-    weights = half * ref_weights
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
     return QuadratureRule(
-        nodes=nodes,
-        weights=weights,
+        nodes=mid + half * ref_nodes,
+        weights=half * ref_weights,
         point_count=point_count,
         lower=lower,
         upper=upper,

@@ -144,6 +144,7 @@ class TestMain:
             (["--picard-tol", "nan"], "picard_tol"),
             (["--theta", "nan"], "theta"),
             (["--dt", "5e-324", "--t-end", "1e-323"], "dt"),
+            (["--problem", "grayscott", "--dt", "1e-306", "--t-end", "2e-306"], "dt"),
             (["--degree", "-1"], "degree"),
         ],
     )

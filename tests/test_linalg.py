@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from rdgalerkin.basis import BasisSpec
 from rdgalerkin.linalg import SingularMatrixError, condition_estimate, lu_solve
-from rdgalerkin.problems import builtin_tp1
-from rdgalerkin.stepper import SolverConfig, _step_system, discretize, initial_state
-
-
-def scipy_lu_solve(A, b):
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
 
 
 class TestLuSolve:
@@ -75,29 +67,6 @@ class TestLuSolve:
         A[1, 0] = -np.inf
         with pytest.raises(ValueError, match="non-finite"):
             lu_solve(A, np.ones(2))
-
-
-class TestMatchesScipyLu:
-    """lu_solve gives bit for bit what scipy's lu_factor / lu_solve give."""
-
-    def test_random_systems(self):
-        rng = np.random.default_rng(11)
-        for n in range(1, 31):
-            for _ in range(3):
-                A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-4, 4, (n, 1))
-                b = rng.standard_normal(n)
-                assert np.array_equal(lu_solve(A, b), scipy_lu_solve(A, b))
-
-    def test_assembled_tp1_system(self):
-        # the 22 x 22 trapezoidal system of tp1 at m = 10, first step
-        problem = builtin_tp1()
-        basis = BasisSpec(problem.lower, problem.upper, 10)
-        config = SolverConfig(dt=0.05, t_end=0.05, theta=0.5)
-        s0 = initial_state(problem, basis, config)
-        disc = discretize(problem, basis, config)
-        A, b = _step_system(problem, disc, config, s0.c, s0.d)(s0.c, s0.d)
-        assert A.shape == (22, 22)
-        assert np.array_equal(lu_solve(A, b), scipy_lu_solve(A, b))
 
 
 class TestFactorizationIdentity:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,6 @@ class TestSolverConfig:
             dict(dt=0.1, t_end=1.0, picard_tol=float("nan")),
             dict(dt=0.1, t_end=1.0, theta=float("nan")),
             dict(dt=1e10, t_end=1.0),
-            dict(dt=5e-324, t_end=1e-323),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -88,6 +89,21 @@ class TestSolverConfig:
         }[entry]
         with pytest.raises(ValueError, match="differs from the basis degree"):
             call()
+
+    @pytest.mark.parametrize(
+        "make_problem,dt",
+        [(builtin_tp1, 5e-324), (builtin_tp1, 1e-310), (builtin_grayscott, 1e-306)],
+    )
+    def test_dt_overflowing_mass_over_dt_rejected(self, make_problem, dt):
+        # a subnormal dt, or a normal one against the large mass entries of a
+        # wide domain, overflows C/dt; the run names dt before any overflow
+        problem = make_problem()
+        basis = BasisSpec(problem.lower, problem.upper, 6)
+        config = SolverConfig(dt=dt, t_end=2 * dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dt: "):
+                run(problem, basis, config)
 
 
 class TestSingleStep:
