@@ -1,8 +1,9 @@
 """Galerkin weighted-residual solver for coupled reaction-diffusion systems.
 
 Trial solutions are expansions in an endpoint-vanishing Bernstein-type
-polynomial basis; time integration is backward difference with an inner
-Picard loop on the nonlinear coupling.
+polynomial basis; time integration is theta-weighted (backward difference
+at theta = 1, trapezoidal at theta = 0.5) with an inner Picard loop on the
+nonlinear coupling.
 """
 
 from .basis import BasisSpec

@@ -21,7 +21,7 @@ from typing import Optional
 from . import svg
 from .basis import BasisSpec
 from .linalg import SingularMatrixError
-from .norms import evaluate, halving_report, sample_grid
+from .norms import DEFAULT_GRID_POINTS, evaluate, halving_report, sample_grid
 from .problems import ProblemSpec, ReactionForm, builtin_grayscott, builtin_tp1, sine_power_profile
 from .stepper import PicardConvergenceError, SolverConfig, run, state_at, whole_steps
 
@@ -45,7 +45,7 @@ class RunConfig:
     report_times: list
     custom_path: Optional[str] = None
     degree: int = 6
-    grid_points: int = 101
+    grid_points: int = DEFAULT_GRID_POINTS
     output_dir: str = "."
     emit_svg: bool = False
     convergence_dts: Optional[list] = None
@@ -141,7 +141,7 @@ def _build_parser():
     p = _Parser(
         prog="rdgalerkin",
         description="Galerkin reaction-diffusion solver with an endpoint-vanishing "
-        "Bernstein basis (backward difference + Picard iteration).",
+        "Bernstein basis (theta-weighted implicit steps + Picard iteration).",
     )
     p.add_argument("--config", help="JSON file with any of the flag values; flags override")
     p.add_argument("--problem", choices=["tp1", "grayscott", "custom"])
@@ -159,7 +159,7 @@ def _build_parser():
     p.add_argument("--convergence-dts", dest="convergence_dts",
                    help="comma-separated dt list for a norms study (e.g. 0.4,0.2,0.1)")
     p.add_argument("--report-times", dest="report_times",
-                   help="comma-separated output times; default t_end")
+                   help="comma-separated output times, each a whole multiple of dt; default t_end")
     return p
 
 
@@ -200,8 +200,8 @@ def parse_config(argv):
         if not t >= 0:
             raise ConfigError(f"report_times: {t} must be non-negative")
         with _checked():
-            whole_steps(t, solver.dt, "report_times")
-        if t > solver.t_end + 1e-12:
+            steps = whole_steps(t, solver.dt, "report_times")
+        if steps > solver.step_count:
             raise ConfigError(f"report_times: {t} exceeds t_end={solver.t_end}")
     for dt in cfg.convergence_dts or ():
         with _checked("convergence_dts: "):
@@ -282,7 +282,7 @@ def run_and_emit(cfg):
     with open(out / "solution.csv", "w", newline="\n") as f:
         f.write("x,t,M,N\n")
         for t in cfg.report_times:
-            state = state_at(main_run, t)
+            state = state_at(main_run, t, cfg.solver.dt)
             M, N = evaluate(state, problem, basis, xs)
             for x, m, n in zip(xs, M, N):
                 f.write(f"{_fmt(x)},{_fmt(state.t)},{_fmt(m)},{_fmt(n)}\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .norms import difference_norms, evaluate, sample_grid
+from .norms import DEFAULT_GRID_POINTS, difference_norms, evaluate, sample_grid
 from .stepper import PicardConvergenceError, run, state_at, whole_steps
 
 
@@ -124,14 +124,14 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     )
 
 
-def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=101):
+def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=DEFAULT_GRID_POINTS):
     """Difference between the Galerkin and FD solutions at time t.
 
     The FD grid is interpolated piecewise-linearly onto the comparison
     grid; its O(dx^2) error is far below the discrepancies being measured.
     """
     trajectory = run(problem, basis, config)
-    state = state_at(trajectory, t)
+    state = state_at(trajectory, t, config.dt)
     fd = fd_solve(problem, fd_nx, fd_dt, t)
     xs = sample_grid(problem, grid_points)
     M_g, N_g = evaluate(state, problem, basis, xs)

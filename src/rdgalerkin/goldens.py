@@ -76,29 +76,30 @@ def load_goldens():
     return entries
 
 
-def check_goldens(entries, trajectory, problem, basis):
-    """Check entries of one problem against a computed trajectory.
+def check_goldens(entries, trajectory, problem, basis, dt):
+    """Check entries of one problem against a computed trajectory of step dt.
 
     Mirror-symmetric x locations are checked jointly: the computed field is
     symmetric by construction, so when exactly one of a pair's printed
     values disagrees it is treated as a typo and the pair passes through
     the concordant print (flagged ``via_mirror``).
     """
+    # x and its mirror image L + U - x share a key
+    ends = problem.lower + problem.upper
+    keys = [(e.species, e.t, round(min(e.x, ends - e.x), 9)) for e in entries]
     mirror = {}
-    for e in entries:
-        key = (e.species, e.t, round(min(e.x, problem.lower + problem.upper - e.x), 9))
+    for key, e in zip(keys, entries):
         mirror.setdefault(key, []).append(e)
 
     verdicts = []
-    for e in entries:
-        state = state_at(trajectory, e.t)
+    for key, e in zip(keys, entries):
+        state = state_at(trajectory, e.t, dt)
         M, N = evaluate(state, problem, basis, e.x)
         computed = M if e.species == "M" else N
         deviation = abs(computed - e.value)
         passed = deviation <= e.tolerance
         via_mirror = False
         if not passed:
-            key = (e.species, e.t, round(min(e.x, problem.lower + problem.upper - e.x), 9))
             partners = [p for p in mirror[key] if p is not e]
             if any(abs(computed - p.value) <= p.tolerance for p in partners):
                 passed = True
@@ -127,4 +128,4 @@ def run_problem_goldens(problem_id, problem, basis_degree=6, dt=0.1):
     basis = BasisSpec(problem.lower, problem.upper, basis_degree)
     config = SolverConfig(dt=dt, t_end=t_end)
     trajectory = run(problem, basis, config)
-    return check_goldens(entries, trajectory, problem, basis)
+    return check_goldens(entries, trajectory, problem, basis, dt)

@@ -1,9 +1,10 @@
 """Dense solves for the small coupled systems (at most ~24 x 24).
 
-Wraps LAPACK's partially-pivoted LU; adds the singularity diagnostics and
-condition probing the rest of the package relies on.  The basis is
-legitimately ill-scaled on wide domains, so a large condition number is a
-warning, never an error.
+Wraps LAPACK's partially-pivoted LU and adds the singularity diagnostic
+that every ``lu_solve`` call applies.  ``condition_estimate`` is a probe for
+callers outside the package: no module of the package calls it.  The basis
+is legitimately ill-scaled on wide domains, so a large condition number is
+a warning, never an error.
 """
 
 import logging

@@ -73,8 +73,8 @@ def halving_report(problem, basis, coarse, fine, dt, t_report, grid_points=DEFAU
     """Norms of the difference between the trajectories ``coarse`` (step dt)
     and ``fine`` (step dt/2) at t_report."""
     xs = sample_grid(problem, grid_points)
-    M_c, N_c = evaluate(state_at(coarse, t_report), problem, basis, xs)
-    M_f, N_f = evaluate(state_at(fine, t_report), problem, basis, xs)
+    M_c, N_c = evaluate(state_at(coarse, t_report, dt), problem, basis, xs)
+    M_f, N_f = evaluate(state_at(fine, t_report, dt / 2), problem, basis, xs)
     return NormReport(
         dt=dt, t=t_report, grid_points=grid_points,
         **difference_norms(M_c - M_f, N_c - N_f),

@@ -22,6 +22,9 @@ The work is split by how often it changes:
 * per Picard iterate: one ``picard_split``, K2 and K3 in one stacked
   product, F1 and F2, one ``lu_solve`` of the 2(m+1)-square system, and the
   correction as the largest change of the stacked coefficient vector.
+
+A time is a step count: state k of a run has t = k dt exactly, and
+``whole_steps`` is the one rule that matches a time to the grid.
 """
 
 import math
@@ -53,7 +56,8 @@ class PicardConvergenceError(RuntimeError):
 def whole_steps(t, dt, name):
     """The number of dt steps in t; a ValueError naming ``name`` unless t is a
     whole multiple of dt (to a relative 1e-9, so a t below one step is only
-    accepted when it is 0)."""
+    accepted when it is 0).  The package's only rule for matching a time to
+    the step grid."""
     steps = t / dt
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
         raise ValueError(f"{name}: {t} is not an integer multiple of dt={dt}")
@@ -118,12 +122,13 @@ class CoefficientState:
     picard_iters_last: int = 0
 
 
-def state_at(trajectory, t):
-    """The state of ``trajectory`` at time t (to a relative 1e-9)."""
-    for state in trajectory:
-        if abs(state.t - t) <= 1e-9 * max(1.0, abs(t)):
-            return state
-    raise ValueError(f"time {t} not on the trajectory grid")
+def state_at(trajectory, t, dt):
+    """State ``whole_steps(t, dt)`` of ``trajectory``, a run of step dt; a
+    ValueError when t is off that grid or past the trajectory's end."""
+    try:
+        return trajectory[whole_steps(t, dt, "t")]
+    except (ValueError, IndexError):
+        raise ValueError(f"time {t} not on the trajectory grid") from None
 
 
 def _check_degree(basis, config):
@@ -194,7 +199,9 @@ def _step_system(problem, disc, config, c_prev, d_prev):
 def step(state, problem, basis, config, disc=None):
     """Advance one time increment, iterating Picard to tolerance.
 
-    ``disc`` is the run's discretization; it is built when not given.
+    ``disc`` is the run's discretization; it is built when not given.  The
+    new state lies one step past ``state``: its t is (k + 1) dt for the k
+    whole steps of ``state.t``, never a running sum.
     """
     _check_degree(basis, config)
     if disc is None:
@@ -203,6 +210,7 @@ def step(state, problem, basis, config, disc=None):
     if state.c.shape != (n,) or state.d.shape != (n,):
         raise ValueError("state inconsistent with basis degree")
 
+    t_new = (whole_steps(state.t, config.dt, "state.t") + 1) * config.dt
     system = _step_system(problem, disc, config, state.c, state.d)
     c_it, d_it = state.c, state.d
     x_it = np.concatenate([c_it, d_it])
@@ -211,9 +219,7 @@ def step(state, problem, basis, config, disc=None):
         correction = np.abs(sol - x_it).max()
         x_it, c_it, d_it = sol, sol[:n], sol[n:]
         if correction < config.picard_tol:
-            return CoefficientState(
-                c=c_it, d=d_it, t=state.t + config.dt, picard_iters_last=k
-            )
+            return CoefficientState(c=c_it, d=d_it, t=t_new, picard_iters_last=k)
         if correction > _DIVERGENCE_GUARD:
             raise PicardConvergenceError(k, correction)
     raise PicardConvergenceError(config.picard_max, correction)
@@ -227,7 +233,8 @@ def initial_state(problem, basis, config):
 
 
 def run(problem, basis, config):
-    """Full trajectory: projected initial state plus one state per step."""
+    """Full trajectory: projected initial state plus one state per step, so
+    ``trajectory[k]`` is the state at t = k dt."""
     disc = discretize(problem, basis, config)
     states = [initial_state(problem, basis, config)]
     for _ in range(config.step_count):

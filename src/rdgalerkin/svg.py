@@ -5,8 +5,8 @@ _MARGIN = 60
 _COLORS = ("#1f6fb4", "#c44e52")
 
 
-def line_plot(path, x, curves, title, xlabel="x"):
-    """Write a simple SVG with labelled polylines.
+def line_plot(path, x, curves, title):
+    """Write a simple SVG with labelled polylines over an axis labelled x.
 
     curves: list of (label, values) pairs sharing the x grid.
     """
@@ -36,7 +36,7 @@ def line_plot(path, x, curves, title, xlabel="x"):
         f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
         # axis labels and extreme ticks
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        'font-family="sans-serif" font-size="12">x</text>',
         f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11">{xmin:g}</text>',
         f'<text x="{_WIDTH - _MARGIN}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle" '

@@ -69,6 +69,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exceeds t_end"):
             parse_config(TP1_ARGS + ["--report-times", "2.0"])
 
+    def test_report_time_beyond_horizon_at_tiny_dt(self):
+        # bounded by its step count, not by an absolute margin over t_end
+        with pytest.raises(ConfigError, match="report_times: 3e-13 exceeds t_end=2e-13"):
+            parse_config(["--problem", "tp1", "--dt", "1e-13", "--t-end", "2e-13",
+                          "--report-times", "3e-13"])
+
     def test_convergence_dts_parsed(self):
         cfg = parse_config(TP1_ARGS + ["--convergence-dts", "0.5,0.25,0.125"])
         assert cfg.convergence_dts == [0.5, 0.25, 0.125]
@@ -146,6 +152,8 @@ class TestMain:
             (["--dt", "5e-324", "--t-end", "1e-323"], "dt"),
             (["--problem", "grayscott", "--dt", "1e-306", "--t-end", "2e-306"], "dt"),
             (["--degree", "-1"], "degree"),
+            # past t_end by one step, at a dt far below 1
+            (["--dt", "1e-13", "--t-end", "2e-13", "--report-times", "3e-13"], "report_times"),
         ],
     )
     def test_invalid_input_is_config_error(self, tmp_path, capsys, extra, field):
@@ -202,6 +210,23 @@ class TestMain:
         assert main(TP1_ARGS + ["--output-dir", str(out1)]) == 0
         assert main(TP1_ARGS + ["--output-dir", str(out2)]) == 0
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra,times",
+        [
+            (["--dt", "1e-306", "--t-end", "2e-306"], ["2e-306"]),
+            (
+                ["--dt", "1e-10", "--t-end", "1e-9", "--report-times", "5e-10,1e-9"],
+                ["5e-10", "1e-09"],
+            ),
+        ],
+    )
+    def test_tiny_dt_writes_its_report_times(self, tmp_path, capsys, extra, times):
+        # each report time is matched to its own step, not to t = 0
+        assert main(TP1_ARGS + extra + ["--output-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[1] for row in rows)) == times
+        assert "t=0:" not in capsys.readouterr().out
 
     def test_csv_values_round_trip_at_nine_digits(self, tmp_path):
         out = tmp_path / "out"

@@ -4,7 +4,8 @@ from ``parse_config`` and a documented exit code from ``main``.
 ``parse_config`` gets flag lists and ``--config`` documents: any JSON value
 under the known keys, unknown keys, and documents that are not objects;
 nothing is solved, so the examples are cheap. ``main`` gets small runs (at
-most 3 steps, degree <= 4) whose numeric settings may be anything.
+most 3 steps, degree <= 4) whose numeric settings may be anything; when
+one succeeds, the ``t`` column of its solution.csv is steps * dt exactly.
 """
 
 import json
@@ -87,9 +88,11 @@ def value(usual, anything):
 
 @st.composite
 def small_runs(draw):
-    """Flags of a run of at most 3 steps, degree <= 4 and <= 50 output points;
-    theta, dt, picard_tol and picard_max take any value, nan and inf included."""
-    dt = draw(value([0.05, 0.1, 0.5], st.floats()))
+    """Flags of a run of at most 3 steps, degree <= 4 and <= 50 output points,
+    and the ``t`` column its solution.csv must hold: state k is at k * dt.
+    theta, dt, picard_tol and picard_max take any value, nan and inf included;
+    the usual dt values include two far below 1."""
+    dt = draw(value([0.05, 0.1, 0.5, 1e-10, 1e-306], st.floats()))
     steps = draw(st.integers(min_value=0, max_value=3))
     argv = [
         "--problem", draw(st.sampled_from(["tp1", "grayscott"])),
@@ -110,11 +113,16 @@ def small_runs(draw):
         argv.append(f"{flag}={draw(optional[flag])}")
     if draw(st.booleans()):
         argv.append("--emit-svg")
-    return argv
+    return argv, f"{steps * dt:.9g}"
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=small_runs())
-def test_main_exits_with_documented_code(argv):
+@given(small_run=small_runs())
+def test_main_exits_with_documented_code(small_run):
+    argv, t_column = small_run
     with tempfile.TemporaryDirectory() as tmp:
-        assert main(argv + ["--output-dir", tmp]) in (0, 2, 3, 4, 5)
+        code = main(argv + ["--output-dir", tmp])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            rows = (Path(tmp) / "solution.csv").read_text().splitlines()[1:]
+            assert {row.split(",")[1] for row in rows} == {t_column}

@@ -73,7 +73,7 @@ class TestCheck:
         trajectory = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
         # deliberately wrong value with no mirror partner to rescue it
         bogus = GoldenEntry("tp1", "M", 1.0, 1.0, 0.5, 1e-3, "made-up")
-        report = check_goldens([bogus], trajectory, problem, basis)
+        report = check_goldens([bogus], trajectory, problem, basis, 0.1)
         assert not report.passed
         assert len(report.failures) == 1
         assert report.failures[0].deviation > 0.4
@@ -86,7 +86,7 @@ class TestCheck:
         # partner at the mirror station with a corrupted print: the computed
         # field matches the good partner, so the pair passes via_mirror
         typo = GoldenEntry("tp1", "M", 1.2, 1.0, 0.00803, 1e-3, "corrupted")
-        report = check_goldens([good, typo], trajectory, problem, basis)
+        report = check_goldens([good, typo], trajectory, problem, basis, 0.1)
         assert report.passed
         by_x = {v.entry.x: v for v in report.verdicts}
         assert not by_x[0.8].via_mirror
@@ -98,4 +98,4 @@ class TestCheck:
         trajectory = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
         entry = GoldenEntry("tp1", "M", 1.0, 7.0, 0.0, 1e-3, "table1")
         with pytest.raises(ValueError, match="not on the trajectory grid"):
-            check_goldens([entry], trajectory, problem, basis)
+            check_goldens([entry], trajectory, problem, basis, 0.1)

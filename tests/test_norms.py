@@ -9,7 +9,7 @@ from rdgalerkin.norms import (
     self_convergence,
 )
 from rdgalerkin.problems import builtin_grayscott, builtin_tp1
-from rdgalerkin.stepper import CoefficientState, SolverConfig, run
+from rdgalerkin.stepper import CoefficientState, SolverConfig, run, state_at
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestEvaluate:
 
     def test_midpoint_matches_benchmark_values(self, tp1_run):
         problem, basis, states = tp1_run
-        state_t1 = next(s for s in states if abs(s.t - 1.0) < 1e-9)
+        state_t1 = state_at(states, 1.0, 0.1)
         M, N = evaluate(state_t1, problem, basis, 1.0)
         assert M == pytest.approx(-0.00877, abs=1e-3)
         assert N == pytest.approx(1.10689, abs=5e-3)

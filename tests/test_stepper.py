@@ -220,7 +220,33 @@ class TestStateAt:
         basis = BasisSpec(problem.lower, problem.upper, 6)
         states = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
         with pytest.raises(ValueError, match="not on the trajectory grid"):
-            state_at(states, 0.55)
+            state_at(states, 0.55, 0.1)
+
+    def test_past_the_end_time_rejected(self):
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 6)
+        states = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            state_at(states, 1.1, 0.1)
+
+    @pytest.mark.parametrize("dt,t,k", [(1e-306, 2e-306, 2), (1e-10, 5e-10, 5), (1e-10, 1e-9, 10)])
+    def test_tiny_dt_finds_its_step(self, dt, t, k):
+        # a time is matched to the grid relative to dt, so a dt far below 1
+        # does not collapse every time onto the initial state
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 4)
+        states = run(problem, basis, SolverConfig(dt=dt, t_end=k * dt))
+        assert state_at(states, t, dt) is states[k]
+        assert states[k].t == k * dt
+
+    def test_state_k_time_is_k_dt(self):
+        # k * dt exactly, not a running sum of dt: 0.1 added six times gives
+        # 0.6, while 6 * 0.1 is 0.6000000000000001
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 4)
+        states = run(problem, basis, SolverConfig(dt=0.1, t_end=10.0))
+        assert len(states) == 101
+        assert [s.t for s in states] == [k * 0.1 for k in range(101)]
 
 
 class TestPicardFailure:
