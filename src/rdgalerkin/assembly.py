@@ -30,16 +30,16 @@ from .quadrature import QuadratureRule
 class Discretization:
     """The iterate-independent arrays of one run, built once from (problem, basis, rule).
 
-    ``B`` and ``dB`` hold the basis values and derivatives at the rule's
-    nodes, shape (size, point_count); ``C`` the mass matrix and ``K1`` /
-    ``K4`` the stiffness blocks of the M and N equations; ``F1_const`` /
-    ``F2_const`` the iterate-independent parts
-    (source - decay * boundary value) * int(B_i) of the two load vectors.
+    ``B`` holds the basis values at the rule's nodes, shape (size, node
+    count); ``C`` the mass matrix and ``K1`` / ``K4`` the stiffness blocks of
+    the M and N equations (the basis derivatives they need are tabulated in
+    ``build`` and not kept); ``F1_const`` / ``F2_const`` the
+    iterate-independent parts (source - decay * boundary value) * int(B_i)
+    of the two load vectors.
     """
 
     rule: QuadratureRule
     B: np.ndarray
-    dB: np.ndarray
     C: np.ndarray
     K1: np.ndarray
     K4: np.ndarray
@@ -55,7 +55,6 @@ class Discretization:
         return cls(
             rule=rule,
             B=B,
-            dB=dB,
             C=assemble_mass(B, w),
             K1=assemble_stiffness(B, dB, w, problem.eps1, problem.decay_M),
             K4=assemble_stiffness(B, dB, w, problem.eps2, problem.decay_N),
@@ -80,7 +79,7 @@ def assemble_coupling(B, weights, weight):
 
     ``weight`` must already carry the equation's reaction sign, i.e. it
     is -sign_M * omega for the M-equation block and -sign_N * phi for the
-    N-equation block.  A stacked weight of shape (k, point_count) gives the
+    N-equation block.  A stacked weight of shape (k, node count) gives the
     k blocks, shape (k, size, size), in one product; each equals the block
     of its own weight bit for bit.
     """

@@ -7,7 +7,8 @@ Agreement between the two solvers is therefore evidence, not tautology.
 This solver exists to adjudicate accuracy; it shares no assembly code with
 the spectral path and is not built for speed.  The pinned boundary values
 are not unknowns: each implicit step solves a banded system for the
-interior nodes only.
+interior nodes only.  ``compare`` reports the Galerkin-vs-FD differences in
+the ``norms.NormReport`` the self-convergence study uses.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .norms import DEFAULT_GRID_POINTS, difference_norms, evaluate, sample_grid
+from .norms import DEFAULT_GRID_POINTS, NormReport, difference_norms, evaluate, sample_grid
 from .stepper import PicardConvergenceError, run, state_at, whole_steps
 
 
@@ -30,18 +31,6 @@ class FDGrid:
     M_values: np.ndarray
     N_values: np.ndarray
     t: float
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Galerkin-vs-FD differences on a common comparison grid."""
-
-    t: float
-    grid_points: int
-    L2_M: float
-    Linf_M: float
-    L2_N: float
-    Linf_N: float
 
 
 def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
@@ -124,26 +113,30 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     )
 
 
-def compare(problem, basis, config, fd_nx, fd_dt, t, grid_points=DEFAULT_GRID_POINTS):
-    """Difference between the Galerkin and FD solutions at time t.
+def compare(problem, basis, config, fd_nx, fd_dt, t):
+    """Difference between the Galerkin and FD solutions at time t, as a
+    ``NormReport`` whose dt is the Galerkin run's (``config.dt``).
 
-    The FD grid is interpolated piecewise-linearly onto the comparison
-    grid; its O(dx^2) error is far below the discrepancies being measured.
+    Both solutions are sampled on ``DEFAULT_GRID_POINTS`` uniform points; the
+    FD grid is interpolated piecewise-linearly onto them, and its O(dx^2)
+    error is far below the discrepancies being measured.
     """
     trajectory = run(problem, basis, config)
     state = state_at(trajectory, t, config.dt)
     fd = fd_solve(problem, fd_nx, fd_dt, t)
-    xs = sample_grid(problem, grid_points)
+    xs = sample_grid(problem, DEFAULT_GRID_POINTS)
     M_g, N_g = evaluate(state, problem, basis, xs)
     M_f = np.interp(xs, fd.x, fd.M_values)
     N_f = np.interp(xs, fd.x, fd.N_values)
-    return DiscrepancyReport(
-        t=t, grid_points=grid_points, **difference_norms(M_g - M_f, N_g - N_f)
+    return NormReport(
+        dt=config.dt, t=t, grid_points=DEFAULT_GRID_POINTS,
+        **difference_norms(M_g - M_f, N_g - N_f),
     )
 
 
 def write_report(report, path):
-    """Write a DiscrepancyReport as a header and one row, 9 significant digits."""
+    """Write a ``compare`` report as a header and one row, 9 significant
+    digits; the columns leave out dt."""
     with open(path, "w", newline="\n") as f:
         f.write(
             "t,grid_points,L2_M,Linf_M,L2_N,Linf_N\n"

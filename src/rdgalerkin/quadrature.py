@@ -17,9 +17,6 @@ import numpy as np
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    point_count: int
-    lower: float
-    upper: float
 
 
 def default_point_count(degree):
@@ -42,13 +39,7 @@ def gauss_legendre(point_count, lower, upper):
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(point_count)
     half = 0.5 * (upper - lower)
     mid = 0.5 * (upper + lower)
-    return QuadratureRule(
-        nodes=mid + half * ref_nodes,
-        weights=half * ref_weights,
-        point_count=point_count,
-        lower=lower,
-        upper=upper,
-    )
+    return QuadratureRule(nodes=mid + half * ref_nodes, weights=half * ref_weights)
 
 
 def integrate(rule, f):

@@ -12,10 +12,11 @@ trapezoidal member of the family and is genuinely second order in time
 because the nonlinear blocks are weighted between the two time levels.
 The work is split by how often it changes:
 
-* per run: ``discretize`` builds the ``assembly.Discretization`` (the
-  basis tables at the quadrature nodes, C, K1, K4 and the constant load
-  parts) and checks that C/dt is finite, and ``initial_state`` projects
-  the initial data on a boosted rule;
+* per run: ``discretize`` checks that the basis spans the problem's
+  interval, builds the ``assembly.Discretization`` (the basis tables at the
+  quadrature nodes, C, K1, K4 and the constant load parts) and checks that
+  C/dt is finite, and ``initial_state`` projects the initial data on a
+  boosted rule;
 * per step: ``_step_system`` forms the diagonal blocks C/dt + th K1 and
   C/dt + th K4, the terms C/dt c_prev and C/dt d_prev and, at th < 1, the
   old-level residual;
@@ -23,11 +24,14 @@ The work is split by how often it changes:
   product, F1 and F2, one ``lu_solve`` of the 2(m+1)-square system, and the
   correction as the largest change of the stacked coefficient vector.
 
-A time is a step count: state k of a run has t = k dt exactly, and
-``whole_steps`` is the one rule that matches a time to the grid.
+``step(state, problem, disc, config)`` takes the run's discretization;
+``run`` builds it once and passes it to every step.  A time is a step
+count: state k of a run has t = k dt exactly, and ``whole_steps`` is the
+one rule that matches a time to the grid.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +68,11 @@ def whole_steps(t, dt, name):
     return int(round(steps))
 
 
+def _is_integer(value):
+    """An integer of any kind (numpy's included), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping and Picard settings of one run.
@@ -92,8 +101,12 @@ class SolverConfig:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ValueError(f"picard_tol: must be finite and positive, got {self.picard_tol}")
+        if not _is_integer(self.picard_max):
+            raise ValueError(f"picard_max: must be an integer, got {self.picard_max!r}")
         if self.picard_max < 1:
             raise ValueError(f"picard_max: must be at least 1, got {self.picard_max}")
+        if self.quad_points is not None and not _is_integer(self.quad_points):
+            raise ValueError(f"quad_points: must be an integer, got {self.quad_points!r}")
         whole_steps(self.t_end, self.dt, "t_end")
 
     @property
@@ -124,24 +137,28 @@ class CoefficientState:
 
 def state_at(trajectory, t, dt):
     """State ``whole_steps(t, dt)`` of ``trajectory``, a run of step dt; a
-    ValueError when t is off that grid or past the trajectory's end."""
+    ValueError when t is off that grid or past the trajectory's end, or when
+    dt is not the trajectory's step (state k of a run has t = k dt exactly)."""
     try:
-        return trajectory[whole_steps(t, dt, "t")]
+        k = whole_steps(t, dt, "t")
+        state = trajectory[k]
     except (ValueError, IndexError):
         raise ValueError(f"time {t} not on the trajectory grid") from None
+    if state.t != k * dt:
+        raise ValueError(f"dt: {dt} is not the trajectory's step (state {k} has t={state.t})")
+    return state
 
 
-def _check_degree(basis, config):
+def discretize(problem, basis, config, boost=1):
+    """The run's ``Discretization``, on a rule of ``boost`` times the configured size."""
+    if (basis.lower, basis.upper) != (problem.lower, problem.upper):
+        raise ValueError(f"basis: spans [{basis.lower}, {basis.upper}], "
+                         f"not the problem's [{problem.lower}, {problem.upper}]")
     if config.degree is not None and config.degree != basis.degree:
         raise ValueError(
             f"SolverConfig.degree ({config.degree}) differs from the basis "
             f"degree ({basis.degree})"
         )
-
-
-def discretize(problem, basis, config, boost=1):
-    """The run's ``Discretization``, on a rule of ``boost`` times the configured size."""
-    _check_degree(basis, config)
     points = config.rule_points(basis.degree)
     rule = quadrature.gauss_legendre(boost * points, basis.lower, basis.upper)
     disc = assembly.Discretization.build(problem, basis, rule)
@@ -196,17 +213,14 @@ def _step_system(problem, disc, config, c_prev, d_prev):
     return system
 
 
-def step(state, problem, basis, config, disc=None):
+def step(state, problem, disc, config):
     """Advance one time increment, iterating Picard to tolerance.
 
-    ``disc`` is the run's discretization; it is built when not given.  The
-    new state lies one step past ``state``: its t is (k + 1) dt for the k
-    whole steps of ``state.t``, never a running sum.
+    ``disc`` is the run's discretization, from ``discretize``.  The new state
+    lies one step past ``state``: its t is (k + 1) dt for the k whole steps
+    of ``state.t``, never a running sum.
     """
-    _check_degree(basis, config)
-    if disc is None:
-        disc = discretize(problem, basis, config)
-    n = basis.size
+    n = disc.C.shape[0]
     if state.c.shape != (n,) or state.d.shape != (n,):
         raise ValueError("state inconsistent with basis degree")
 
@@ -238,5 +252,5 @@ def run(problem, basis, config):
     disc = discretize(problem, basis, config)
     states = [initial_state(problem, basis, config)]
     for _ in range(config.step_count):
-        states.append(step(states[-1], problem, basis, config, disc=disc))
+        states.append(step(states[-1], problem, disc, config))
     return states

@@ -76,7 +76,8 @@ def test_criterion_2_closed_form_assembly():
 
     problem = _heat_problem()
     config = SolverConfig(dt=0.1, t_end=0.1, degree=0, picard_tol=1e-14)
-    s1 = step(initial_state(problem, spec, config), problem, spec, config)
+    disc = discretize(problem, spec, config)
+    s1 = step(initial_state(problem, spec, config), problem, disc, config)
     heat_ok = abs(s1.c[0] - 0.5) <= 1e-12
 
     _verdict(
@@ -192,7 +193,7 @@ def test_criterion_7_property_suite(tmp_path):
     config = SolverConfig(dt=0.1, t_end=0.1, picard_tol=1e-12)
     disc = discretize(problem, basis, config)
     s0 = initial_state(problem, basis, config)
-    s1 = step(s0, problem, basis, config, disc=disc)
+    s1 = step(s0, problem, disc, config)
     A, rhs = _step_system(problem, disc, config, s0.c, s0.d)(s1.c, s1.d)
     x = np.concatenate([s1.c, s1.d])
     resid = np.abs(A @ x - rhs).max()

@@ -106,6 +106,7 @@ class TestCompare:
         assert report.Linf_M <= 1e-12
         assert report.Linf_N <= 1e-12
         assert report.t == 1.0
+        assert report.dt == 0.5
         assert report.grid_points == 101
 
     def test_tp1_discrepancy_small(self):

@@ -61,6 +61,8 @@ class TestSolverConfig:
             dict(dt=0.1, t_end=1.0, picard_tol=float("nan")),
             dict(dt=0.1, t_end=1.0, theta=float("nan")),
             dict(dt=1e10, t_end=1.0),
+            dict(dt=0.1, t_end=1.0, picard_max=2.5),
+            dict(dt=0.1, t_end=1.0, picard_max=True),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -68,27 +70,41 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"^(dt|t_end|theta|picard_tol|picard_max): "):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("quad_points", [24.5, True])
+    def test_non_integer_quad_points_rejected(self, quad_points):
+        with pytest.raises(ValueError, match="^quad_points: "):
+            SolverConfig(dt=0.1, t_end=1.0, quad_points=quad_points)
+
+    def test_numpy_integers_accepted(self):
+        config = SolverConfig(dt=0.1, t_end=1.0, picard_max=np.int64(5), quad_points=np.int32(24))
+        assert config.rule_points(6) == 24
+
     def test_rule_sized_from_basis_degree(self):
         # 2m + 12 points for m = 10; no degree on the config
         problem = builtin_tp1()
         basis = BasisSpec(problem.lower, problem.upper, 10)
         disc = discretize(problem, basis, SolverConfig(dt=0.1, t_end=0.1))
-        assert disc.rule.point_count == 32
+        assert disc.rule.nodes.size == 32
         assert disc.B.shape == (11, 32)
 
-    @pytest.mark.parametrize("entry", ["run", "step", "initial_state"])
+    @pytest.mark.parametrize("entry", ["run", "initial_state"])
     def test_config_degree_must_match_basis(self, entry):
         problem = builtin_tp1()
         basis = BasisSpec(problem.lower, problem.upper, 10)
         config = SolverConfig(dt=0.1, t_end=0.1, degree=6)
-        state = CoefficientState(c=np.zeros(11), d=np.zeros(11), t=0.0)
         call = {
             "run": lambda: run(problem, basis, config),
-            "step": lambda: step(state, problem, basis, config),
             "initial_state": lambda: initial_state(problem, basis, config),
         }[entry]
         with pytest.raises(ValueError, match="differs from the basis degree"):
             call()
+
+    @pytest.mark.parametrize("lower,upper", [(0.0, 3.0), (-1.0, 2.0)])
+    def test_basis_off_the_problem_interval_rejected(self, lower, upper):
+        # tp1 lives on [0, 2]; a basis on another interval does not vanish at
+        # the problem's boundary, so the boundary values would come out wrong
+        with pytest.raises(ValueError, match="^basis: "):
+            run(builtin_tp1(), BasisSpec(lower, upper, 6), SolverConfig(dt=0.1, t_end=0.2))
 
     @pytest.mark.parametrize(
         "make_problem,dt",
@@ -115,7 +131,7 @@ class TestSingleStep:
         config = SolverConfig(dt=0.1, t_end=0.1, degree=0, picard_tol=1e-14)
         s0 = initial_state(problem, basis, config)
         assert s0.c[0] == pytest.approx(1.0, abs=1e-12)
-        s1 = step(s0, problem, basis, config)
+        s1 = step(s0, problem, discretize(problem, basis, config), config)
         assert s1.c[0] == pytest.approx(0.5, abs=1e-12)
         assert np.abs(s1.d).max() <= 1e-13
 
@@ -147,7 +163,7 @@ class TestSingleStep:
         config = SolverConfig(dt=0.1, t_end=0.1, picard_tol=1e-12)
         disc = discretize(problem, basis, config)
         s0 = initial_state(problem, basis, config)
-        s1 = step(s0, problem, basis, config, disc=disc)
+        s1 = step(s0, problem, disc, config)
         A, rhs = _step_system(problem, disc, config, s0.c, s0.d)(s1.c, s1.d)
         x = np.concatenate([s1.c, s1.d])
         resid = np.abs(A @ x - rhs).max()
@@ -159,7 +175,7 @@ class TestSingleStep:
         config = SolverConfig(dt=0.1, t_end=0.1)
         bad = CoefficientState(c=np.zeros(3), d=np.zeros(3), t=0.0)
         with pytest.raises(ValueError, match="basis degree"):
-            step(bad, problem, basis, config)
+            step(bad, problem, discretize(problem, basis, config), config)
 
 
 class TestRun:
@@ -229,6 +245,15 @@ class TestStateAt:
         with pytest.raises(ValueError, match="not on the trajectory grid"):
             state_at(states, 1.1, 0.1)
 
+    def test_dt_other_than_the_runs_rejected(self):
+        # t = 0.5 at dt = 0.05 is step 10, but state 10 of a dt = 0.1 run
+        # lies at t = 1.0
+        problem = builtin_tp1()
+        basis = BasisSpec(problem.lower, problem.upper, 6)
+        states = run(problem, basis, SolverConfig(dt=0.1, t_end=1.0))
+        with pytest.raises(ValueError, match="^dt: "):
+            state_at(states, 0.5, 0.05)
+
     @pytest.mark.parametrize("dt,t,k", [(1e-306, 2e-306, 2), (1e-10, 5e-10, 5), (1e-10, 1e-9, 10)])
     def test_tiny_dt_finds_its_step(self, dt, t, k):
         # a time is matched to the grid relative to dt, so a dt far below 1
@@ -256,6 +281,6 @@ class TestPicardFailure:
         config = SolverConfig(dt=0.1, t_end=0.1, picard_tol=1e-14, picard_max=1)
         s0 = initial_state(problem, basis, config)
         with pytest.raises(PicardConvergenceError) as exc:
-            step(s0, problem, basis, config)
+            step(s0, problem, discretize(problem, basis, config), config)
         assert exc.value.iterations == 1
         assert exc.value.last_correction > 1e-14
