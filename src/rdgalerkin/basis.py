@@ -13,10 +13,17 @@ a scale of roughly ((U - L)/2)^2.  Downstream linear algebra tolerates this;
 re-normalizing would change every coefficient table this package emits.
 """
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+
+
+def is_integer(value):
+    """An integer of any kind (numpy's included), but not a bool; the
+    package's one test of an integer setting."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,8 @@ class BasisSpec:
     def __post_init__(self):
         if not self.upper > self.lower:
             raise ValueError(f"upper: must exceed lower ({self.lower}), got {self.upper}")
+        if not is_integer(self.degree):
+            raise ValueError(f"degree: must be an integer, got {self.degree!r}")
         if self.degree < 0:
             raise ValueError(f"degree: must be >= 0, got {self.degree}")
 

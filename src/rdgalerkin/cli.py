@@ -1,7 +1,9 @@
 """Command-line front end: problem selection, solver runs, CSV/SVG emission.
 
 Exit codes: 0 success, 2 configuration error (a run too large for memory
-included), 3 Picard non-convergence, 4 linear-solver failure, 5 I/O failure.
+included), 3 Picard non-convergence, 4 linear-solver failure (a linear system
+whose reciprocal condition bound falls below 1e-13, see ``linalg.lu_solve``),
+5 I/O failure.
 
 Outputs (all deterministic; identical configs yield byte-identical files):
   solution.csv   header ``x,t,M,N``, one row per sample, 9 significant digits

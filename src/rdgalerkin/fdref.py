@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .basis import is_integer
 from .norms import DEFAULT_GRID_POINTS, NormReport, difference_norms, evaluate, sample_grid
 from .stepper import PicardConvergenceError, run, state_at, whole_steps
 
@@ -44,8 +45,12 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     diagonal and neighbour bands are built once per call; each Picard pass
     writes only the two M-N coupling bands and the rhs.
     """
+    if not is_integer(nx):
+        raise ValueError(f"nx: must be an integer, got {nx!r}")
     if nx < 3:
-        raise ValueError("nx must be >= 3")
+        raise ValueError(f"nx: must be at least 3, got {nx}")
+    if not is_integer(picard_max):
+        raise ValueError(f"picard_max: must be an integer, got {picard_max!r}")
     if picard_max < 1:
         raise ValueError(f"picard_max: must be at least 1, got {picard_max}")
     if not (math.isfinite(picard_tol) and picard_tol > 0):

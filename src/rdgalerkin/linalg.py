@@ -1,59 +1,78 @@
 """Dense solves for the small coupled systems (at most ~24 x 24).
 
-Wraps LAPACK's partially-pivoted LU and adds the singularity diagnostic
-that every ``lu_solve`` call applies.  ``condition_estimate`` is a probe for
-callers outside the package: no module of the package calls it.  The basis
-is legitimately ill-scaled on wide domains, so a large condition number is
-a warning, never an error.
+``lu_solve`` is one call of numpy's LAPACK solve (row-pivoted LU) and adds
+the singularity test that every call applies: a lower bound on the 1-norm
+condition number, from two probe right-hand sides that share the
+factorization of b (after Hager, SIAM J. Sci. Stat. Comput. 5, 1984, and
+Higham, ACM TOMS 14, 1988).  The module needs numpy alone.
+``condition_estimate`` is a probe for callers outside the package: no
+module of the package calls it.  The basis is legitimately ill-scaled on
+wide domains, so a large condition number is a warning, never an error.
 """
 
 import logging
 import math
 
 import numpy as np
-import scipy.linalg
 
 log = logging.getLogger(__name__)
 
 _COND_WARN = 1e10
-_PIVOT_REL_TOL = 1e-13
+_RCOND_FLOOR = 1e-13
 
 
 class SingularMatrixError(ValueError):
-    """Matrix singular to working precision; carries the pivot index."""
+    """Matrix singular to working precision; carries the reciprocal
+    condition bound ``rcond`` that fell below the floor (0 when the LU
+    met an exact zero pivot)."""
 
-    def __init__(self, pivot_index, pivot_value):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
+    def __init__(self, rcond):
+        self.rcond = rcond
         super().__init__(
-            f"matrix singular to working precision: pivot {pivot_index} "
-            f"has magnitude {abs(pivot_value):.3e}"
+            "matrix singular to working precision: reciprocal 1-norm "
+            f"condition bound {rcond:.3e} is below {_RCOND_FLOOR:g}"
         )
 
 
 def lu_solve(matrix, rhs):
-    """Solve A x = b by row-pivoted LU with an explicit singularity check.
+    """Solve A x = b by row-pivoted LU with a condition-number singularity test.
 
-    A must be square, b of matching length, and both finite.
+    A must be square, b of matching length, and both finite.  One solve
+    takes P = [b | p1 | p2], with p1 all ones and p2 alternating +1, -1,
+    so the probes share b's factorization.  Each probe has 1-norm n, so
+    ||A^-1||_1 >= ||A^-1 p||_1 / n and
+
+        rcond = 1 / (||A||_1 ||A^-1||_1) <= n / (||A||_1 max_j ||X[:, j]||_1)
+
+    over the two probe columns.  A ``SingularMatrixError`` is raised when
+    this bound is below 1e-13, when X is not finite, or when the LU meets
+    an exact zero pivot.  Being an upper bound on rcond, it never flags a
+    matrix whose true rcond is above the floor.
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if b.shape != (A.shape[0],):
+    n = A.shape[0]
+    if b.shape != (n,):
         raise ValueError(f"rhs length {b.shape} does not match matrix {A.shape}")
-    # a NaN or inf in A makes its largest magnitude, which also scales the
-    # pivot floor, non-finite
-    scale = np.abs(A).max()
-    if not (math.isfinite(scale) and np.isfinite(b).all()):
+    # a NaN or inf in A makes its 1-norm non-finite
+    norm = np.abs(A).sum(axis=0).max()
+    if not (math.isfinite(norm) and np.isfinite(b).all()):
         raise ValueError("non-finite entries in linear system")
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    floor = _PIVOT_REL_TOL * max(scale, np.finfo(float).tiny)
-    k = int(np.argmin(pivots))
-    if pivots[k] < floor:
-        raise SingularMatrixError(k, pivots[k])
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    P = np.ones((n, 3))
+    P[:, 0] = b
+    P[1::2, 2] = -1.0
+    try:
+        X = np.linalg.solve(A, P)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(0.0) from None
+    x_norm, p1_norm, p2_norm = np.abs(X).sum(axis=0).tolist()
+    rcond = n / (norm * max(p1_norm, p2_norm))
+    # a NaN or inf anywhere in X makes the sum of its column norms non-finite
+    if not (rcond >= _RCOND_FLOOR and math.isfinite(x_norm + p1_norm + p2_norm)):
+        raise SingularMatrixError(rcond)
+    return X[:, 0]
 
 
 def condition_estimate(matrix):
@@ -62,7 +81,7 @@ def condition_estimate(matrix):
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(-1, 0.0) from err
+        raise SingularMatrixError(0.0) from err
     cond = float(
         np.linalg.norm(A, np.inf) * np.linalg.norm(inv, np.inf)
     )

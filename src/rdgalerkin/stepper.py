@@ -31,13 +31,13 @@ one rule that matches a time to the grid.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import assembly, quadrature
+from .basis import is_integer
 from .linalg import lu_solve
 from .problems import picard_split
 
@@ -68,11 +68,6 @@ def whole_steps(t, dt, name):
     return int(round(steps))
 
 
-def _is_integer(value):
-    """An integer of any kind (numpy's included), but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping and Picard settings of one run.
@@ -101,11 +96,11 @@ class SolverConfig:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ValueError(f"picard_tol: must be finite and positive, got {self.picard_tol}")
-        if not _is_integer(self.picard_max):
+        if not is_integer(self.picard_max):
             raise ValueError(f"picard_max: must be an integer, got {self.picard_max!r}")
         if self.picard_max < 1:
             raise ValueError(f"picard_max: must be at least 1, got {self.picard_max}")
-        if self.quad_points is not None and not _is_integer(self.quad_points):
+        if self.quad_points is not None and not is_integer(self.quad_points):
             raise ValueError(f"quad_points: must be an integer, got {self.quad_points!r}")
         whole_steps(self.t_end, self.dt, "t_end")
 

@@ -106,8 +106,13 @@ def test_matrix_helpers_shapes():
 
 @pytest.mark.parametrize(
     "args,field",
-    [((0.0, 1.0, -1), "degree"), ((1.0, 1.0, 2), "upper"), ((2.0, 1.0, 2), "upper")],
+    [((0.0, 1.0, -1), "degree"), ((1.0, 1.0, 2), "upper"), ((2.0, 1.0, 2), "upper"),
+     ((0.0, 1.0, 2.5), "degree"), ((0.0, 1.0, 2.0), "degree"), ((0.0, 1.0, True), "degree")],
 )
 def test_invalid_spec_message_names_the_field(args, field):
     with pytest.raises(ValueError, match=f"^{field}: "):
         BasisSpec(*args)
+
+
+def test_numpy_integer_degree_accepted():
+    assert BasisSpec(0.0, 1.0, np.int64(3)).size == 4

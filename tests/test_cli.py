@@ -269,6 +269,17 @@ class TestMain:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_linear_solver_failure_exit_code(self, tmp_path, capsys):
+        # at degree 28 the mass matrix of the initial projection has
+        # kappa_1 ~ 8e16: singular to working precision, although no LU
+        # pivot is small enough for a pivot test to notice
+        code = main(["--problem", "tp1", "--degree", "28", "--dt", "0.1", "--t-end", "0.2",
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("linear-solver error: ")
+        assert "Traceback" not in err
+
     def test_io_failure_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("occupied")

@@ -94,6 +94,21 @@ class TestFdSolve:
         with pytest.raises(ValueError, match=f"^{field}: "):
             fd_solve(builtin_tp1(), nx=11, dt=0.1, t_end=0.2, **kwargs)
 
+    @pytest.mark.parametrize(
+        "nx,picard_max,field",
+        [
+            (10.5, 100, "nx"),
+            (11.0, 100, "nx"),
+            (True, 100, "nx"),
+            (11, 2.5, "picard_max"),
+            (11, 3.0, "picard_max"),
+            (11, True, "picard_max"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, nx, picard_max, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+            fd_solve(builtin_tp1(), nx=nx, dt=0.1, t_end=0.2, picard_max=picard_max)
+
 
 class TestCompare:
     def test_report_on_equilibrium_is_zero(self):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rdgalerkin
 from rdgalerkin.linalg import SingularMatrixError, condition_estimate, lu_solve
 
 
@@ -27,19 +33,31 @@ class TestLuSolve:
         with pytest.raises(TypeError):
             lu_solve(np.eye(2))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_reports_pivot(self):
+    def test_singular_reports_rcond(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError) as exc:
             lu_solve(A, np.array([1.0, 1.0]))
-        assert exc.value.pivot_index == 1
-        assert abs(exc.value.pivot_value) < 1e-12
+        assert exc.value.rcond < 1e-13
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_scaled_near_singular_still_detected(self):
         A = 1e8 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         with pytest.raises(SingularMatrixError):
             lu_solve(A, np.array([1.0, 0.0]))
+
+    def test_ill_conditioned_with_unit_pivots_detected(self):
+        # every LU pivot is 1, yet kappa_1 = n 2^(n-1) ~ 3.5e19: a pivot
+        # test passes this matrix, the condition bound must not
+        n = 60
+        A = np.eye(n) - np.triu(np.ones((n, n)), 1)
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_solve(A, np.ones(n))
+        assert exc.value.rcond < 1e-13
+
+    def test_well_conditioned_not_flagged(self):
+        # rcond of a diagonal matrix is min/max of its entries: 1e-12 here,
+        # above the floor, so the bound (never below the true rcond) passes it
+        A = np.diag([1.0, 1e-12])
+        assert lu_solve(A, np.ones(2)) == pytest.approx([1.0, 1e12], rel=1e-14)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
@@ -70,14 +88,16 @@ class TestLuSolve:
 
 
 class TestFactorizationIdentity:
-    def test_palu(self):
-        # the solver is a thin wrapper over LAPACK getrf; verify PA = LU holds
-        import scipy.linalg
-
+    def test_residual_bound(self):
+        # backward stability of the pivoted LU: the residual is a small
+        # multiple of eps ||A|| ||x|| at every size up to the largest system
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((9, 9))
-        P, L, U = scipy.linalg.lu(A)
-        assert np.abs(P @ L @ U - A).max() <= 1e-10 * np.abs(A).max()
+        for n in range(1, 31):
+            A = rng.standard_normal((n, n))
+            b = rng.standard_normal(n)
+            x = lu_solve(A, b)
+            bound = 1e3 * n * np.finfo(float).eps * np.abs(A).max() * np.abs(x).sum()
+            assert np.abs(A @ x - b).max() <= bound, n
 
 
 class TestConditionEstimate:
@@ -93,3 +113,14 @@ class TestConditionEstimate:
         kappa2 = np.linalg.cond(A, 2)
         # inf-norm condition number of an n x n matrix is within n of kappa_2
         assert condition_estimate(A) >= kappa2 / 8.0
+
+
+@pytest.mark.parametrize("module", ["rdgalerkin", "rdgalerkin.cli"])
+def test_import_loads_no_scipy(module):
+    # only fdref needs scipy; the Galerkin path and the CLI load numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(rdgalerkin.__file__).parents[1]))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
