@@ -257,8 +257,9 @@ def _problem_for(cfg):
     return load_custom_problem(cfg.custom_path)
 
 
-def _fmt(v):
-    return f"{v:.9g}"
+# the one number format of solution.csv and norms.csv: 9 significant digits
+_NUMBER = "{:.9g}"
+_fmt = _NUMBER.format
 
 
 def run_and_emit(cfg):
@@ -266,6 +267,12 @@ def run_and_emit(cfg):
 
     Trajectories are kept by dt, so a convergence study solves each
     distinct dt (including the main run's) once.
+
+    The x column of ``solution.csv`` is formatted once per command and the
+    t cell once per report time; M and N are formatted from Python floats
+    (``ndarray.tolist``) through one ``str.format`` map, and each report
+    time's block is one write.  The bytes are those of formatting every
+    cell of every row with ``f"{v:.9g}"``.
     """
     problem = _problem_for(cfg)
     basis = BasisSpec(problem.lower, problem.upper, cfg.degree)
@@ -281,13 +288,14 @@ def run_and_emit(cfg):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    x_cells = list(map(_fmt, xs.tolist()))
     with open(out / "solution.csv", "w", newline="\n") as f:
         f.write("x,t,M,N\n")
         for t in cfg.report_times:
             state = state_at(main_run, t, cfg.solver.dt)
             M, N = evaluate(state, problem, basis, xs)
-            for x, m, n in zip(xs, M, N):
-                f.write(f"{_fmt(x)},{_fmt(state.t)},{_fmt(m)},{_fmt(n)}\n")
+            row = f"{{}},{_fmt(state.t)},{_NUMBER},{_NUMBER}\n".format
+            f.write("".join(map(row, x_cells, M.tolist(), N.tolist())))
             print(
                 f"t={state.t:g}: M in [{M.min():.6g}, {M.max():.6g}], "
                 f"N in [{N.min():.6g}, {N.max():.6g}] "
@@ -297,7 +305,7 @@ def run_and_emit(cfg):
                 svg.line_plot(
                     out / f"solution_t{state.t:g}.svg",
                     xs,
-                    [("M", list(M)), ("N", list(N))],
+                    [("M", M), ("N", N)],
                     f"{cfg.problem_id}: concentrations at t={state.t:g}",
                 )
 

@@ -1,5 +1,7 @@
 """Minimal hand-emitted SVG line plots (no plotting dependency)."""
 
+import numpy as np
+
 _WIDTH, _HEIGHT = 720, 440
 _MARGIN = 60
 _COLORS = ("#1f6fb4", "#c44e52")
@@ -8,21 +10,23 @@ _COLORS = ("#1f6fb4", "#c44e52")
 def line_plot(path, x, curves, title):
     """Write a simple SVG with labelled polylines over an axis labelled x.
 
-    curves: list of (label, values) pairs sharing the x grid.
+    curves: list of (label, values) pairs sharing the x grid; x and the
+    values may be lists or arrays of finite numbers, with the same bytes.
+    The coordinates are numpy expressions in the operation order of the
+    per-point formula ``MARGIN + (v - min) / (max - min) * (size - 2 * MARGIN)``,
+    so each is bitwise that formula's, and each curve's points are
+    formatted by one ``str.format`` map.
     """
-    xmin, xmax = min(x), max(x)
-    ys = [v for _, values in curves for v in values]
-    ymin, ymax = min(ys), max(ys)
+    x = np.asarray(x, dtype=float)
+    Y = np.asarray([values for _, values in curves], dtype=float)
+    xmin, xmax = float(x.min()), float(x.max())
+    ymin, ymax = float(Y.min()), float(Y.max())
     if ymax == ymin:
         ymin, ymax = ymin - 0.5, ymax + 0.5
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad
-
-    def sx(v):
-        return _MARGIN + (v - xmin) / (xmax - xmin) * (_WIDTH - 2 * _MARGIN)
-
-    def sy(v):
-        return _HEIGHT - _MARGIN - (v - ymin) / (ymax - ymin) * (_HEIGHT - 2 * _MARGIN)
+    sx = (_MARGIN + (x - xmin) / (xmax - xmin) * (_WIDTH - 2 * _MARGIN)).tolist()
+    sy = (_HEIGHT - _MARGIN - (Y - ymin) / (ymax - ymin) * (_HEIGHT - 2 * _MARGIN)).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
@@ -46,9 +50,9 @@ def line_plot(path, x, curves, title):
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11">{ymax:.4g}</text>',
     ]
-    for k, (label, values) in enumerate(curves):
+    for k, ((label, _), curve_sy) in enumerate(zip(curves, sy)):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, values))
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx, curve_sy))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

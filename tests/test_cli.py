@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from rdgalerkin.basis import BasisSpec
 from rdgalerkin.cli import (
     ConfigError,
     load_custom_problem,
     main,
     parse_config,
 )
+from rdgalerkin.norms import evaluate, sample_grid
+from rdgalerkin.problems import builtin_grayscott, builtin_tp1
+from rdgalerkin.stepper import run, state_at
 
 TP1_ARGS = ["--problem", "tp1", "--dt", "0.1", "--t-end", "1"]
 
@@ -212,6 +216,31 @@ class TestMain:
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            TP1_ARGS + ["--grid-points", "2", "--report-times", "0,1"],
+            TP1_ARGS + ["--grid-points", "101", "--report-times", "0,0.5,1"],
+            ["--problem", "grayscott", "--dt", "0.1", "--t-end", "1", "--report-times", "0,1"],
+        ],
+    )
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path, argv):
+        # the CLI formats by column; its bytes are those of formatting each
+        # row of the evaluated fields on its own
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        cfg = parse_config(argv)
+        problem = {"tp1": builtin_tp1, "grayscott": builtin_grayscott}[cfg.problem_id]()
+        basis = BasisSpec(problem.lower, problem.upper, cfg.degree)
+        trajectory = run(problem, basis, cfg.solver)
+        xs = sample_grid(problem, cfg.grid_points)
+        expected = "x,t,M,N\n"
+        for t in cfg.report_times:
+            state = state_at(trajectory, t, cfg.solver.dt)
+            M, N = evaluate(state, problem, basis, xs)
+            for x, m, n in zip(xs, M, N):
+                expected += f"{x:.9g},{state.t:.9g},{m:.9g},{n:.9g}\n"
+        assert (tmp_path / "solution.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
         "extra,times",
         [
             (["--dt", "1e-306", "--t-end", "2e-306"], ["2e-306"]),
@@ -274,6 +303,16 @@ class TestMain:
         # kappa_1 ~ 8e16: singular to working precision, although no LU
         # pivot is small enough for a pivot test to notice
         code = main(["--problem", "tp1", "--degree", "28", "--dt", "0.1", "--t-end", "0.2",
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("linear-solver error: ")
+        assert "Traceback" not in err
+
+    def test_linear_solver_failure_just_below_the_floor(self, tmp_path, capsys):
+        # degree 21: the probe bound (1.9e-13) passes the mass matrix of the
+        # initial projection, its exact rcond (5.5e-14) does not
+        code = main(["--problem", "tp1", "--degree", "21", "--dt", "0.1", "--t-end", "0.2",
                      "--output-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 4

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import rdgalerkin
+from rdgalerkin import stepper
+from rdgalerkin.basis import BasisSpec
 from rdgalerkin.linalg import SingularMatrixError, condition_estimate, lu_solve
+from rdgalerkin.problems import builtin_tp1
 
 
 class TestLuSolve:
@@ -85,6 +88,50 @@ class TestLuSolve:
         A[1, 0] = -np.inf
         with pytest.raises(ValueError, match="non-finite"):
             lu_solve(A, np.ones(2))
+
+
+def initial_mass_matrix(degree):
+    """tp1's mass matrix on the rule of the initial projection."""
+    problem = builtin_tp1()
+    basis = BasisSpec(problem.lower, problem.upper, degree)
+    config = stepper.SolverConfig(dt=0.1, t_end=0.2)
+    return stepper.discretize(problem, basis, config, boost=stepper._INITIAL_RULE_BOOST).C
+
+
+class TestNearFloor:
+    # the probe bound lies 3-4x above the true rcond on these mass matrices:
+    # m = 21 has bound 1.89e-13 and rcond 5.55e-14, m = 20 bound 7.2e-13
+    # and rcond 2.1e-13
+
+    def test_rcond_just_below_floor_detected(self):
+        C = initial_mass_matrix(21)
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_solve(C, np.ones(C.shape[0]))
+        assert exc.value.rcond == pytest.approx(1.0 / np.linalg.cond(C, 1), rel=1e-6)
+
+    def test_rcond_just_above_floor_solves(self):
+        C = initial_mass_matrix(20)
+        n = C.shape[0]
+        b = np.ones(n)
+        x = lu_solve(C, b)
+        bound = 1e3 * n * np.finfo(float).eps * np.abs(C).max() * np.abs(x).sum()
+        assert np.abs(C @ x - b).max() <= bound
+
+    @pytest.mark.parametrize("degree,solves", [(10, 1), (20, 2)])
+    def test_exact_rcond_only_near_the_floor(self, monkeypatch, degree, solves):
+        # one LAPACK solve on the common path, one more against the
+        # identity when the probe bound is within 10x of the floor
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        C = initial_mass_matrix(degree)
+        lu_solve(C, np.ones(C.shape[0]))
+        assert len(calls) == solves
 
 
 class TestFactorizationIdentity:
