@@ -2,11 +2,12 @@
 
 A deliberately different discretization family from the Galerkin path:
 nodal second-order central differences in space, backward Euler in time,
-with the same lag-one-factor Picard linearization of the reaction term.
-Agreement between the two solvers is therefore evidence, not tautology.
-This solver exists to adjudicate accuracy; it shares no assembly code with
-the spectral path and is not built for speed.  The pinned boundary values
-are not unknowns: each implicit step solves a banded system for the
+and a Picard linearization that keeps each equation's own species implicit
+where the Galerkin solver keeps the opposite one.  Both iterations converge
+to their backward-Euler fixed point, so agreement between the two solvers is
+evidence, not tautology.  This solver exists to adjudicate accuracy; it
+shares no assembly code with the spectral path.  The pinned boundary values
+are not unknowns: each Picard pass solves one tridiagonal system for the
 interior nodes only.  ``compare`` reports the Galerkin-vs-FD differences in
 the ``norms.NormReport`` the self-convergence study uses.
 """
@@ -37,13 +38,15 @@ class FDGrid:
 def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
     """March the nodal system to t_end with backward Euler + Picard.
 
-    The unknowns are the 2(nx - 2) interior values, interleaved
-    (M_1, N_1, M_2, N_2, ...) so the coupled implicit system is
-    pentadiagonal and solvable with a banded routine.  The pinned boundary
-    values enter the first and last interior rows through a constant rhs
-    term and are put back around the interior values at the end.  The
-    diagonal and neighbour bands are built once per call; each Picard pass
-    writes only the two M-N coupling bands and the rhs.
+    The unknowns are the 2k interior values, k = nx - 2, ordered by species
+    (M_1 ... M_k, N_1 ... N_k).  Each Picard pass keeps the equation's own
+    species implicit: the M-equation takes f ~ M~^(alpha-1) N~^beta * M and
+    the N-equation f ~ M~^alpha N~^(beta-1) * N, so a pass writes only the
+    diagonal and the rhs, the two species decouple and the system is
+    tridiagonal (the entries linking M_k and N_1 are zero).  The pinned
+    boundary values enter the first and last interior row of each species
+    through a constant rhs term and are put back around the interior values
+    at the end.
     """
     if not is_integer(nx):
         raise ValueError(f"nx: must be an integer, got {nx!r}")
@@ -59,61 +62,61 @@ def fd_solve(problem, nx, dt, t_end, picard_tol=1e-10, picard_max=100):
 
     x = np.linspace(problem.lower, problem.upper, nx)
     dx = x[1] - x[0]
-    M = problem.initial_M(x).astype(float)[1:-1]
-    N = problem.initial_N(x).astype(float)[1:-1]
+    k = nx - 2
+    u = np.concatenate([problem.initial_M(x)[1:-1], problem.initial_N(x)[1:-1]]).astype(float)
 
     alpha, beta = problem.reaction.alpha, problem.reaction.beta
     r1 = problem.eps1 / dx ** 2
     r2 = problem.eps2 / dx ** 2
-    # banded layout for solve_banded((2, 2), ...): ab[2 + i - j, j] = A[i, j],
-    # so rows 0 and 4 hold the same-species neighbours (j = i +- 2) and rows
-    # 1 and 3 the coupling of M_i and N_i at one node
-    ab = np.zeros((5, 2 * (nx - 2)))
-    ab[2, 0::2] = 1.0 / dt + problem.decay_M + 2.0 * r1
-    ab[2, 1::2] = 1.0 / dt + problem.decay_N + 2.0 * r2
-    ab[0, 2::2] = ab[4, :-2:2] = -r1
-    ab[0, 3::2] = ab[4, 1:-2:2] = -r2
-    boundary = np.zeros(2 * (nx - 2))
-    boundary[:2] += (r1 * problem.theta0, r2 * problem.gamma0)
-    boundary[-2:] += (r1 * problem.theta0, r2 * problem.gamma0)
-    rhs = np.empty(2 * (nx - 2))
+    # banded layout for solve_banded((1, 1), ...): ab[1 + i - j, j] = A[i, j],
+    # so row 0 holds the upper and row 2 the lower same-species neighbour;
+    # ab[0, k] and ab[2, k - 1] (M_k with N_1) stay zero
+    ab = np.zeros((3, 2 * k))
+    ab[0, 1:k] = ab[2, :k - 1] = -r1
+    ab[0, k + 1:] = ab[2, k:-1] = -r2
+    diagonal = np.repeat([
+        1.0 / dt + problem.decay_M + 2.0 * r1,
+        1.0 / dt + problem.decay_N + 2.0 * r2,
+    ], k)
+    # both ends of a species add to one row when k = 1
+    source = np.repeat([problem.source_M, problem.source_N], k)
+    source[0] += r1 * problem.theta0
+    source[k - 1] += r1 * problem.theta0
+    source[k] += r2 * problem.gamma0
+    source[-1] += r2 * problem.gamma0
 
     for _ in range(steps):
-        M_known = M / dt + problem.source_M
-        N_known = N / dt + problem.source_N
-        M_it, N_it = M, N
+        known = u / dt + source
+        u_it = u
         for _ in range(picard_max):
-            # Lag-one-factor split: in the M-equation f ~ gamma_c + omega*N_new
-            # with omega = M~^a N~^(b-1); degenerate exponents lag f entirely.
-            if beta == 0:
-                omega, gamma_c = 0.0, M_it ** alpha
-            else:
-                omega, gamma_c = M_it ** alpha * N_it ** (beta - 1), 0.0
+            # Own-species split: f ~ phi * M_new in the M-equation and
+            # omega * N_new in the N-equation; a degenerate exponent leaves
+            # no factor to keep implicit, so f is lagged entirely.
+            M_it, N_it = u_it[:k], u_it[k:]
+            rhs = known.copy()
+            ab[1] = diagonal
             if alpha == 0:
-                phi, pi_c = 0.0, N_it ** beta
+                rhs[:k] += problem.sign_M * N_it ** beta
             else:
-                phi, pi_c = M_it ** (alpha - 1) * N_it ** beta, 0.0
-            ab[1, 1::2] = -problem.sign_M * omega    # N_i in the M_i row
-            ab[3, 0::2] = -problem.sign_N * phi      # M_i in the N_i row
-            rhs[0::2] = M_known + problem.sign_M * gamma_c
-            rhs[1::2] = N_known + problem.sign_N * pi_c
+                ab[1, :k] -= problem.sign_M * (M_it ** (alpha - 1) * N_it ** beta)
+            if beta == 0:
+                rhs[k:] += problem.sign_N * M_it ** alpha
+            else:
+                ab[1, k:] -= problem.sign_N * (M_it ** alpha * N_it ** (beta - 1))
 
-            sol = solve_banded((2, 2), ab, rhs + boundary)
-            M_new, N_new = sol[0::2], sol[1::2]
-            correction = max(
-                np.abs(M_new - M_it).max(), np.abs(N_new - N_it).max()
-            )
-            M_it, N_it = M_new, N_new
+            u_new = solve_banded((1, 1), ab, rhs)
+            correction = np.abs(u_new - u_it).max()
+            u_it = u_new
             if correction < picard_tol:
                 break
         else:
             raise PicardConvergenceError(picard_max, correction)
-        M, N = M_it, N_it
+        u = u_it
 
     return FDGrid(
         nx=nx, dx=float(dx), x=x,
-        M_values=np.concatenate([[problem.theta0], M, [problem.theta0]]),
-        N_values=np.concatenate([[problem.gamma0], N, [problem.gamma0]]),
+        M_values=np.concatenate([[problem.theta0], u[:k], [problem.theta0]]),
+        N_values=np.concatenate([[problem.gamma0], u[k:], [problem.gamma0]]),
         t=steps * dt,
     )
 

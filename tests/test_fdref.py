@@ -1,12 +1,17 @@
+import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rdgalerkin import fdref
 from rdgalerkin.basis import BasisSpec
 from rdgalerkin.fdref import compare, fd_solve
 from rdgalerkin.problems import ProblemSpec, ReactionForm, builtin_grayscott, builtin_tp1
-from rdgalerkin.stepper import SolverConfig
+from rdgalerkin.stepper import PicardConvergenceError, SolverConfig
+
+REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
 
 def flat_grayscott():
@@ -108,6 +113,93 @@ class TestFdSolve:
     def test_non_integer_counts_rejected(self, nx, picard_max, field):
         with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
             fd_solve(builtin_tp1(), nx=nx, dt=0.1, t_end=0.2, picard_max=picard_max)
+
+
+def step_residual(problem, old, new, dt):
+    """Largest nodal backward-Euler residual of one step from ``old`` to
+    ``new`` (interior nodes, boundary values as pinned in the grids):
+    (u_new - u_old)/dt - eps D2 u_new - sign f(u_new) + decay u_new - source."""
+    f = problem.reaction(new.M_values, new.N_values)[1:-1]
+    worst = 0.0
+    for u_old, u_new, eps, sign, decay, source in (
+        (old.M_values, new.M_values, problem.eps1, problem.sign_M,
+         problem.decay_M, problem.source_M),
+        (old.N_values, new.N_values, problem.eps2, problem.sign_N,
+         problem.decay_N, problem.source_N),
+    ):
+        D2 = (u_new[:-2] - 2.0 * u_new[1:-1] + u_new[2:]) / new.dx ** 2
+        inner = u_new[1:-1]
+        r = (inner - u_old[1:-1]) / dt - eps * D2 - sign * f + decay * inner - source
+        worst = max(worst, np.abs(r).max())
+    return worst
+
+
+class TestPicardPass:
+    # the converged step is the nodal backward-Euler fixed point whatever the
+    # linearization: at picard_tol = 1e-12 its residual is rounding-sized
+    # next to the 1/dt + 4 eps/dx^2 scale of the step operator
+    @pytest.mark.parametrize(
+        "problem,nx,dt,steps",
+        [
+            (builtin_tp1(), 201, 0.05, 20),
+            (builtin_grayscott(), 401, 0.1, 50),
+            (replace(builtin_tp1(), reaction=ReactionForm(alpha=2, beta=0)), 201, 0.05, 20),
+            (replace(builtin_tp1(), reaction=ReactionForm(alpha=0, beta=2)), 201, 0.05, 20),
+        ],
+        ids=["tp1", "grayscott", "tp1-alpha2-beta0", "tp1-alpha0-beta2"],
+    )
+    def test_last_step_is_backward_euler_fixed_point(self, problem, nx, dt, steps):
+        old = fd_solve(problem, nx, dt, (steps - 1) * dt, picard_tol=1e-12)
+        new = fd_solve(problem, nx, dt, steps * dt, picard_tol=1e-12)
+        scale = 1.0 / dt + 4.0 * max(problem.eps1, problem.eps2) / new.dx ** 2
+        assert step_residual(problem, old, new, dt) <= 1e-14 * scale
+
+    def test_one_tridiagonal_solve_per_pass(self, monkeypatch):
+        # the benchmark's fd-oracle configuration converges in 2 passes a step
+        bands = []
+        solve = fdref.solve_banded
+
+        def counting(l_and_u, ab, b, **kwargs):
+            bands.append(tuple(l_and_u))
+            return solve(l_and_u, ab, b, **kwargs)
+
+        monkeypatch.setattr(fdref, "solve_banded", counting)
+        fd_solve(builtin_tp1(), nx=2001, dt=1e-3, t_end=1.0)
+        assert len(bands) == 2000
+        assert set(bands) == {(1, 1)}
+
+    def test_non_finite_pass_raises_value_error(self):
+        # a NaN at the centre node reaches the first pass's rhs
+        base = builtin_tp1()
+        problem = replace(
+            base, initial_N=lambda x: np.where(x == 1.0, np.nan, base.initial_N(x))
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fd_solve(problem, nx=101, dt=0.1, t_end=0.2)
+
+    def test_grayscott_large_step_does_not_converge(self):
+        with pytest.raises(PicardConvergenceError):
+            fd_solve(builtin_grayscott(), nx=2001, dt=5.0, t_end=20.0)
+
+
+@pytest.mark.parametrize(
+    "name,problem,fd_nx",
+    [("coupled_parabolic", builtin_tp1(), 1001), ("grayscott", builtin_grayscott(), 2001)],
+)
+def test_tracked_reports_reproduce(name, problem, fd_nx):
+    # demos/fd_crosscheck.py writes these; the oracle's stopping error moves
+    # the ~4e-8 norms by well under 1e-5 relative
+    with open(REPORT_DIR / f"fd_discrepancy_{name}.csv", newline="") as f:
+        (tracked,) = list(csv.DictReader(f))
+    basis = BasisSpec(problem.lower, problem.upper, 6)
+    rep = compare(
+        problem, basis, SolverConfig(dt=0.01, t_end=1.0),
+        fd_nx=fd_nx, fd_dt=0.01, t=1.0,
+    )
+    assert float(tracked["t"]) == rep.t
+    assert int(tracked["grid_points"]) == rep.grid_points
+    for column in ("L2_M", "Linf_M", "L2_N", "Linf_N"):
+        assert getattr(rep, column) == pytest.approx(float(tracked[column]), rel=1e-5, abs=0.0)
 
 
 class TestCompare:
